@@ -10,7 +10,8 @@ Three subcommands:
 * ``weights`` prints a generalized weight hierarchy.
 
 Exit codes are a stable scripting contract: 0 certified/attained,
-1 refuted, 2 inconclusive, 3 usage or input error.
+1 refuted, 2 inconclusive, 3 usage or input error, 4 internal error (a
+bug; the traceback goes to stderr).
 
 Descriptors::
 
@@ -21,8 +22,7 @@ Descriptors::
     css:@file1,@file2
 
 All searches are deterministic; ``--seed`` is accepted for interface
-stability and recorded in reports, and ``--threads`` caps worker
-parallelism (results never depend on it).
+stability and recorded in reports.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .code import (
     DEFAULT_BUDGET,
     LinearCode,
     dual_euclidean,
-    dual_hermitian,
     generalized_hamming_weights,
     min_distance,
 )
@@ -57,6 +56,7 @@ from .constructions import (
 from .gf import GF
 from .locality import classical_singleton, verify_rdelta_lrc
 from .qlocality import (
+    _dual_for_form,
     bridge_classical_quantum,
     purity_check,
     quantum_r_lrc_bound,
@@ -72,6 +72,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +105,11 @@ def _parse_delta(desc: str, n1: int, n2: int, p: int) -> DeltaSet:
         for ln in Path(args[1:]).read_text(encoding="utf-8").splitlines():
             ln = ln.split("#")[0].strip()
             if ln:
-                a, b = ln.split()
-                pairs.append((int(a), int(b)))
+                try:
+                    a, b = ln.split()
+                    pairs.append((int(a), int(b)))
+                except ValueError as exc:
+                    raise ParseError(f"custom delta line {ln!r} is not 'e1 e2'") from exc
         return DeltaSet.custom(n1, n2, pairs)
     try:
         x, y = (int(t) for t in args.split(","))
@@ -127,13 +131,14 @@ def build_from_descriptor(desc: str, hermitian_dc: bool = False,
                           budget: int = DEFAULT_BUDGET):
     """Return (code, claims dict) for a construction descriptor."""
     name, _, body = desc.partition(":")
+    where = f"{name} descriptor"
     if name == "steane":
         return steane_symplectic(), {"quantum": "[[7,1,3]]_2"}
     if name == "affine":
         kv = _split_fields(body)
-        q, n1, n2 = int(kv["q"]), int(kv["n1"]), int(kv["n2"])
+        q, n1, n2 = (files.int_field(kv, key, where) for key in ("q", "n1", "n2"))
         field = GF(*_prime_power(q))
-        delta = _parse_delta(kv["delta"], n1, n2, field.p)
+        delta = _parse_delta(kv.get("delta", ""), n1, n2, field.p)
         grid = GridSpec.build(field, n1, n2)
         code = affine_variety_code(grid, delta)
         claims = dict(delta.claims)
@@ -144,7 +149,7 @@ def build_from_descriptor(desc: str, hermitian_dc: bool = False,
         return code, out
     if name == "grs":
         kv = _split_fields(body)
-        q2, n, k = int(kv["q2"]), int(kv["n"]), int(kv["k"])
+        q2, n, k = (files.int_field(kv, key, where) for key in ("q2", "n", "k"))
         field = GF(*_prime_power(q2))
         claims = {"mds": f"[{n},{k},{n - k + 1}]_{q2}"}
         if hermitian_dc:
@@ -155,11 +160,11 @@ def build_from_descriptor(desc: str, hermitian_dc: bool = False,
         return grs_code(field, n, k), claims
     if name == "hamming":
         kv = _split_fields(body)
-        m, q = int(kv["m"]), int(kv["q"])
+        m, q = (files.int_field(kv, key, where) for key in ("m", "q"))
         code = hamming_code(m, GF(*_prime_power(q)))
         return code, {"classical": f"[{code.n},{code.k},3]_{q}"}
     if name == "css":
-        if not body.startswith("@"):
+        if not body.startswith("@") or body.count(",") != 1:
             raise ParseError("css descriptor takes @file1,@file2")
         p1, p2 = body.split(",")
         C1 = files.load_code(p1.lstrip("@"))
@@ -236,7 +241,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _quantum_verify_linear(C: LinearCode, form: str, args) -> Tuple[dict, int]:
-    dual = dual_hermitian(C) if form == "hermitian" else dual_euclidean(C)
+    dual = _dual_for_form(C, form)
     report: dict = {}
     bounds = []
     if C.contains_code(dual):
@@ -383,8 +388,6 @@ def cmd_weights(args: argparse.Namespace) -> int:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="work-unit cap for exhaustive steps")
-    sp.add_argument("--threads", type=int, default=0,
-                    help="worker cap (results are independent of this)")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed echoed into reports (searches are deterministic)")
     sp.add_argument("--json", metavar="PATH", default=None,
@@ -443,6 +446,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        import traceback        # only on this path; keeps start-up lean
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -19,13 +19,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     EmptyIndexSet,
+    FormMismatch,
     NotAQuadraticExtension,
+    TOutOfRange,
     ZeroCode,
 )
 from .gf import Field
@@ -185,32 +187,43 @@ def support(v: Sequence[int]) -> Tuple[int, ...]:
 # duals
 # ---------------------------------------------------------------------------
 
+FORMS = ("euclidean", "hermitian", "symplectic")
+
+
+def form_rows(F: Field, rows: Sequence[Sequence[int]], form: str) -> Tuple[Tuple[int, ...], ...]:
+    """Map each row x to x' with <x, y> = x' . y under ``form``.
+
+    Euclidean is the identity, Hermitian (GF(q^2) only) the entrywise
+    q-th power, and symplectic sends (a|b) to (-b|a).
+    """
+    if form == "euclidean":
+        return tuple(tuple(r) for r in rows)
+    if form == "hermitian":
+        if F.m % 2:
+            raise NotAQuadraticExtension(f"{F!r} is not a quadratic extension")
+        return tuple(tuple(F.conj(x) for x in r) for r in rows)
+    if form == "symplectic":
+        return tuple(tuple(F.neg(x) for x in r[len(r) // 2:]) + tuple(r[:len(r) // 2])
+                     for r in rows)
+    raise FormMismatch(f"unknown form {form!r}")
+
+
+def form_kernel(gen: Matrix, form: str) -> Matrix:
+    """{y : <x, y> = 0 for every row x of gen} under ``form``."""
+    return kernel(Matrix(gen.field, form_rows(gen.field, gen.data, form), cols=gen.cols))
+
+
 @lru_cache(maxsize=None)
 def dual_euclidean(C: LinearCode) -> LinearCode:
     """Euclidean dual: the kernel of the generator matrix."""
-    return LinearCode.from_matrix(kernel(C.gen))
+    return LinearCode.from_matrix(form_kernel(C.gen, "euclidean"))
 
 
 @lru_cache(maxsize=None)
 def dual_hermitian(C: LinearCode) -> LinearCode:
     """Hermitian dual over GF(q^2): Euclidean kernel of the entrywise
     q-th power of the generator."""
-    F = C.field
-    if F.m % 2:
-        raise NotAQuadraticExtension(f"{F!r} is not a quadratic extension")
-    conj_gen = Matrix(F, [[F.conj(x) for x in row] for row in C.gen.data], cols=C.n)
-    if C.k == 0:
-        conj_gen = Matrix.empty(F, C.n)
-    return LinearCode.from_matrix(kernel(conj_gen))
-
-
-def hermitian_dot(F: Field, a: Sequence[int], b: Sequence[int]) -> int:
-    """sum_j a_j * b_j^q over GF(q^2)."""
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = F.add(acc, F.mul(x, F.conj(y)))
-    return acc
+    return LinearCode.from_matrix(form_kernel(C.gen, "hermitian"))
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +240,7 @@ def puncture(C: LinearCode, R: IndexSet) -> LinearCode:
 
 @lru_cache(maxsize=1 << 17)
 def shorten(C: LinearCode, R: IndexSet) -> LinearCode:
-    """Codewords supported inside R, projected onto R.
-
-    Computed by intersecting the row space with the coordinate subspace
-    {x : x_j = 0 for j outside R} and then projecting: the combinations of
-    generator rows vanishing outside R are the kernel of the outside-column
-    block, transposed.
-    """
+    """Codewords supported inside R, projected onto R."""
     if not R.members:
         raise EmptyIndexSet("shorten needs a nonempty index set")
     outside = R.complement().positions()
@@ -241,10 +248,18 @@ def shorten(C: LinearCode, R: IndexSet) -> LinearCode:
         return LinearCode.zero(C.field, len(R))
     if not outside:
         return puncture(C, R)
-    g_out = C.gen.submatrix_cols(outside)
-    lam = kernel(g_out.transpose())       # rows: coefficient vectors over gen rows
-    inside_rows = lam.mat_mul(C.gen.submatrix_cols(R.positions()))
-    return LinearCode.from_matrix(inside_rows)
+    return LinearCode.from_matrix(shortened_matrix(C.gen, R.positions(), outside))
+
+
+def shortened_matrix(gen: Matrix, keep: Sequence[int], drop: Sequence[int]) -> Matrix:
+    """Rows spanning the words of span(gen) that vanish on the ``drop``
+    columns, projected onto the ``keep`` columns (0-based).
+
+    The combinations of generator rows vanishing on ``drop`` are the kernel
+    of that column block, transposed.
+    """
+    lam = kernel(gen.submatrix_cols(drop).transpose())
+    return lam.mat_mul(gen.submatrix_cols(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -366,29 +381,32 @@ def distance_witness(C: LinearCode, budget: int = DEFAULT_BUDGET) -> Tuple[int, 
 # generalized Hamming weights
 # ---------------------------------------------------------------------------
 
-def generalized_hamming_weights(C: LinearCode, t_max: int,
-                                budget: int = DEFAULT_BUDGET) -> Tuple[int, ...]:
-    """(w_1, ..., w_t_max) with w_t = min{|J| : dim sigma_J(C) >= t}.
+def weight_hierarchy(n: int, dim_at: Callable[[IndexSet], int], t_max: int,
+                     budget: int = DEFAULT_BUDGET) -> Tuple[int, ...]:
+    """(w_1, ..., w_t_max) with w_t = min{|J| : dim_at(J) >= t}.
 
-    Subsets are scanned in increasing cardinality, then lexicographically.
+    Subsets J of 1..n are scanned in increasing cardinality, then
+    lexicographically, and the scan stops at the first J completing the
+    hierarchy.
     """
-    from .errors import TOutOfRange
-
-    if not 1 <= t_max <= C.k:
-        raise TOutOfRange(f"t_max must be in 1..{C.k}")
-    out: list[Optional[int]] = [None] * t_max
+    out = [0] * t_max
     found = 0
-    for size in range(1, C.n + 1):
-        if comb(C.n, size) > budget:
-            raise BudgetExceeded(f"C({C.n},{size}) subsets exceed budget {budget}")
-        for cols in combinations(range(1, C.n + 1), size):
-            J = IndexSet(C.n, cols)
-            dim = shorten(C, J).k
-            for t in range(found, min(dim, t_max)):
-                if out[t] is None:
-                    out[t] = size
-            while found < t_max and out[found] is not None:
+    for size in range(1, n + 1):
+        if comb(n, size) > budget:
+            raise BudgetExceeded(f"C({n},{size}) subsets exceed budget {budget}")
+        for cols in combinations(range(1, n + 1), size):
+            dim = dim_at(IndexSet(n, cols))
+            while found < dim and found < t_max:
+                out[found] = size
                 found += 1
             if found == t_max:
-                return tuple(out)  # type: ignore[arg-type]
+                return tuple(out)
     raise ZeroCode("hierarchy incomplete")  # pragma: no cover
+
+
+def generalized_hamming_weights(C: LinearCode, t_max: int,
+                                budget: int = DEFAULT_BUDGET) -> Tuple[int, ...]:
+    """(w_1, ..., w_t_max) with w_t = min{|J| : dim sigma_J(C) >= t}."""
+    if not 1 <= t_max <= C.k:
+        raise TOutOfRange(f"t_max must be in 1..{C.k}")
+    return weight_hierarchy(C.n, lambda J: shorten(C, J).k, t_max, budget)

@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .errors import IoError, ParseError
+from .errors import IoError, ParseError, QlrcError
 from .code import LinearCode
 from .gf import GF, Field
 from .locality import LocalityCertificate
@@ -34,25 +34,34 @@ def _field_header(field: Field) -> str:
     return f"q={field.q} p={field.p} m={field.m} poly={field.poly_encoding}"
 
 
-def _field_from_header(parts: dict) -> Field:
-    try:
-        p, m, poly = int(parts["p"]), int(parts["m"]), int(parts["poly"])
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad field header: {exc}") from exc
+def _field_from_header(line: str) -> Field:
+    parts = _parse_kv_line(line)
+    where = f"header {line!r}"
+    p, m, poly, q = (int_field(parts, key, where) for key in ("p", "m", "poly", "q"))
+    if p < 2 or m > q.bit_length():        # p^m = q needs m <= log2(q)
+        raise ParseError(f"inconsistent field header: q={q} p={p} m={m}")
     digits = []
     v = poly
     for _ in range(m + 1):
         digits.append(v % p)
         v //= p
-    from .errors import QlrcError
-
     try:
         field = GF(p, m, digits)
     except QlrcError as exc:
         raise ParseError(f"bad field header: {exc}") from exc
-    if field.q != int(parts["q"]):
-        raise ParseError(f"inconsistent field header: q={parts['q']} vs p^m={field.q}")
+    if field.q != q:
+        raise ParseError(f"inconsistent field header: q={q} vs p^m={field.q}")
     return field
+
+
+def int_field(parts: dict, key: str, where: str) -> int:
+    """``parts[key]`` as an integer, or a ParseError naming ``where``."""
+    if key not in parts:
+        raise ParseError(f"{where} has no {key}=")
+    try:
+        return int(parts[key])
+    except ValueError as exc:
+        raise ParseError(f"{where}: {key}={parts[key]!r} is not an integer") from exc
 
 
 def _parse_kv_line(line: str) -> dict:
@@ -82,20 +91,27 @@ def loads_code(text: str) -> AnyCode:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if len(lines) < 2:
         raise ParseError("truncated code file")
-    field = _field_from_header(_parse_kv_line(lines[0]))
+    field = _field_from_header(lines[0])
     idx = 1
     layout = None
     if lines[idx].startswith("layout="):
         layout_parts = _parse_kv_line(lines[idx])
         layout = layout_parts["layout"]
-        positions = int(layout_parts["n"])
+        positions = int_field(layout_parts, "n", f"header {lines[idx]!r}")
         idx += 1
+    if idx >= len(lines):
+        raise ParseError("truncated code file")
     dims = _parse_kv_line(lines[idx])
-    n, k = int(dims["n"]), int(dims["k"])
+    n, k = (int_field(dims, key, f"header {lines[idx]!r}") for key in ("n", "k"))
+    if n < 0 or k < 0:
+        raise ParseError(f"negative dimensions n={n} k={k}")
     idx += 1
     rows = []
     for ln in lines[idx:idx + k]:
-        row = [int(t) for t in ln.split()]
+        try:
+            row = [int(t) for t in ln.split()]
+        except ValueError as exc:
+            raise ParseError(f"row {ln!r} has a non-integer entry") from exc
         if len(row) != n:
             raise ParseError(f"row has {len(row)} entries, expected {n}")
         if any(not 0 <= x < field.q for x in row):

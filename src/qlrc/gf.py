@@ -107,23 +107,10 @@ def _poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _poly_trim([(x - y) % p for x, y in zip(a, b)])
 
 
-def _poly_rem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    r = [x % p for x in a]
-    inv_lead = pow(b[-1], p - 2, p)
-    r = _poly_trim(r)
-    while len(r) >= len(b):
-        factor = (r[-1] * inv_lead) % p
-        shift = len(r) - len(b)
-        for j, bj in enumerate(b):
-            r[shift + j] = (r[shift + j] - factor * bj) % p
-        r = _poly_trim(r)
-    return r
-
-
 def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     a, b = _poly_trim(a), _poly_trim(b)
     while b:
-        a, b = b, _poly_rem(a, b, p)
+        a, b = b, _poly_mod(a, b, p)
     return a
 
 

@@ -22,12 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil, comb
-from typing import Dict, Optional, Tuple
+from typing import Callable, Collection, Dict, Optional, Tuple
 
 from .errors import (
     BadParameters,
     IndexInR,
     IndexNotInJ,
+    ParseError,
+    ZeroCode,
 )
 from .code import (
     DEFAULT_BUDGET,
@@ -39,7 +41,6 @@ from .code import (
     support,
     weight,
 )
-from .errors import ZeroCode
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +79,17 @@ class LocalityCertificate:
 
     @staticmethod
     def from_json(data: dict, n: Optional[int] = None) -> "LocalityCertificate":
-        sets_raw = {int(i): members for i, members in data["sets"].items()}
-        if n is None:
-            n = max(sets_raw) if sets_raw else 0
-        sets = {i: IndexSet.of(n, members) for i, members in sets_raw.items()}
-        return LocalityCertificate.of(n, int(data["r"]), int(data["delta"]), sets)
+        try:
+            sets_raw = {int(i): members for i, members in data["sets"].items()}
+            r, delta = int(data["r"]), int(data["delta"])
+            if n is None:
+                n = max(sets_raw) if sets_raw else 0
+            sets = {i: IndexSet.of(n, members) for i, members in sets_raw.items()}
+        except KeyError as exc:
+            raise ParseError(f"certificate has no {exc.args[0]!r} entry") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed certificate: {exc}") from exc
+        return LocalityCertificate.of(n, r, delta, sets)
 
 
 @dataclass(frozen=True)
@@ -243,29 +250,47 @@ def verify_rdelta_lrc(C: LinearCode, r: int, delta: int,
             return Verdict("certified", cert)
         # dual too large to enumerate; fall through to the subset scan
 
+    return scan_recovery_sets(
+        C.n, r, delta, max_size,
+        lambda J: punctured_distance_at_least(C, J, delta, budget),
+        lambda size: max(1, comb(size, delta - 1)), budget, "subset search")
+
+
+def scan_recovery_sets(n: int, r: int, delta: int, max_size: int,
+                       qualifies: Callable[[IndexSet], bool],
+                       cost: Callable[[int], int], budget: int, search: str,
+                       skip: Collection[int] = (), note: str = "") -> Verdict:
+    """Per coordinate i, the first J through i that ``qualifies``, scanning
+    sizes delta..max_size (minus ``skip``) and then lexicographically.
+
+    Each size class charges cost(size) budget units per candidate before it
+    is scanned.  ``search`` names the scan in the inconclusive reason, and
+    ``note`` is appended to the refuted one.
+    """
     work = 0
-    sets = {}
-    for i in range(1, C.n + 1):
+    sets: Dict[int, IndexSet] = {}
+    for i in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != i]
         found = None
         for size in range(delta, max_size + 1):
-            n_cands = comb(C.n - 1, size - 1)
-            work += n_cands * max(1, comb(size, delta - 1))
+            if size in skip:
+                continue
+            work += comb(n - 1, size - 1) * cost(size)
             if work > budget:
                 return Verdict("inconclusive",
-                               reason=f"budget {budget} exhausted during subset search")
-            others = [j for j in range(1, C.n + 1) if j != i]
+                               reason=f"budget {budget} exhausted during {search}")
             for rest in combinations(others, size - 1):
-                J = IndexSet.of(C.n, (i,) + rest)
-                if punctured_distance_at_least(C, J, delta, budget):
+                J = IndexSet.of(n, (i,) + rest)
+                if qualifies(J):
                     found = J
                     break
             if found is not None:
                 break
         if found is None:
-            return Verdict("refuted",
-                           reason=f"all sets of size <= {max_size} through coordinate {i} fail")
+            return Verdict("refuted", reason=f"all sets of size <= {max_size} "
+                                             f"through coordinate {i} fail{note}")
         sets[i] = found
-    return Verdict("certified", LocalityCertificate.of(C.n, r, delta, sets))
+    return Verdict("certified", LocalityCertificate.of(n, r, delta, sets))
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,19 @@ a two-code version covers the CSS construction.
 
 The (r, delta) verifier searches, per coordinate, for a set J of size at
 most r + delta - 1 such that the condition holds for every I inside J of
-size delta - 1.  Two size-only filters accelerate it: a sufficient one
-(large J relative to the dual's minimum symplectic weight) and an
-impossibility one (driven by generalized symplectic weights of the dual).
-The impossibility filter may justify skipping a whole size class during
-refutation; certificates are always backed by concrete subspace checks.
+size delta - 1.  On symplectic carriers a size-only impossibility filter
+(driven by generalized symplectic weights of the dual) may justify
+skipping a whole size class during refutation; certificates are always
+backed by concrete subspace checks.  :func:`sufficient_filter` (large J
+relative to the dual's minimum symplectic weight) is a standalone public
+predicate; the verifier does not call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import ceil, comb
 from typing import Dict, Optional, Tuple, Union
@@ -43,6 +44,7 @@ from .errors import (
 )
 from .code import (
     DEFAULT_BUDGET,
+    FORMS,
     IndexSet,
     LinearCode,
     dual_euclidean,
@@ -51,7 +53,13 @@ from .code import (
     puncture,
     shorten,
 )
-from .locality import BoundReport, LocalityCertificate, Verdict, verify_rdelta_lrc
+from .locality import (
+    BoundReport,
+    LocalityCertificate,
+    Verdict,
+    scan_recovery_sets,
+    verify_rdelta_lrc,
+)
 from .matrix import dot
 from .symp import (
     SymplecticCode,
@@ -87,19 +95,14 @@ class QuantumCodeParams:
         return f"[[{self.n},{self.k},{rel}{self.d_lower}]]"
 
 
-@lru_cache(maxsize=None)
-def _self_orth_symplectic(C: SymplecticCode) -> bool:
-    return is_self_orthogonal(C, "symplectic")
-
-
-@lru_cache(maxsize=None)
-def _self_orth_linear(C: LinearCode, form: str) -> bool:
+@lru_cache(maxsize=1 << 10)
+def _self_orthogonal(C: Union[SymplecticCode, LinearCode], form: str) -> bool:
     return is_self_orthogonal(C, form)
 
 
-def _require_symplectic_so(C: SymplecticCode) -> None:
-    if not _self_orth_symplectic(C):
-        raise NotSelfOrthogonal("carrier is not symplectic self-orthogonal")
+def _require_self_orthogonal(C: Union[SymplecticCode, LinearCode], form: str) -> None:
+    if not _self_orthogonal(C, form):
+        raise NotSelfOrthogonal(f"carrier is not {form} self-orthogonal")
 
 
 def _check_nesting(n: int, I: IndexSet, J: IndexSet) -> None:
@@ -115,35 +118,37 @@ def _check_nesting(n: int, I: IndexSet, J: IndexSet) -> None:
 # erasure correction and (I, J) criteria
 # ---------------------------------------------------------------------------
 
+def _ij_condition(big, small, I: IndexSet, J: IndexSet, puncture, shorten) -> bool:
+    """sigma_I[pi_J(big)] = sigma_I(small), with I re-indexed inside J.
+
+    ``puncture`` and ``shorten`` are the pair acting on the codes' coordinates
+    (plain for linear codes, paired for symplectic ones).
+    """
+    left = shorten(puncture(big, J), I.relative_to(J))
+    return left.gen == shorten(small, I).gen
+
+
 def corrects_erasures_at(C: SymplecticCode, I: IndexSet) -> bool:
     """Erasures at I are correctable iff sigma_I(C) = sigma_I(C^perp_s)."""
-    _require_symplectic_so(C)
+    _require_self_orthogonal(C, "symplectic")
     if not I.members:
         raise EmptyIndexSet("I must be nonempty")
     if len(I) >= C.n:
         raise BadNesting("I must be a proper subset of the positions")
-    left = shorten_paired(C, I)
-    right = shorten_paired(dual_symplectic(C), I)
-    return left.gen == right.gen
+    return shorten_paired(C, I).gen == shorten_paired(dual_symplectic(C), I).gen
 
 
 def ij_recoverable(C: SymplecticCode, I: IndexSet, J: IndexSet) -> bool:
     """sigma_I[pi_J(C^perp_s)] = sigma_I(C), with I re-indexed inside J."""
-    _require_symplectic_so(C)
+    _require_self_orthogonal(C, "symplectic")
     _check_nesting(C.n, I, J)
-    left = shorten_paired(puncture_paired(dual_symplectic(C), J), I.relative_to(J))
-    right = shorten_paired(C, I)
-    return left.gen == right.gen
+    return _ij_condition(dual_symplectic(C), C, I, J, puncture_paired, shorten_paired)
 
 
 def _ij_recoverable_linear(C: LinearCode, I: IndexSet, J: IndexSet, form: str) -> bool:
-    if not _self_orth_linear(C, form):
-        raise NotSelfOrthogonal(f"carrier is not {form} self-orthogonal")
+    _require_self_orthogonal(C, form)
     _check_nesting(C.n, I, J)
-    dual = dual_hermitian(C) if form == "hermitian" else dual_euclidean(C)
-    left = shorten(puncture(dual, J), I.relative_to(J))
-    right = shorten(C, I)
-    return left.gen == right.gen
+    return _ij_condition(_dual_for_form(C, form), C, I, J, puncture, shorten)
 
 
 def ij_recoverable_hermitian(C: LinearCode, I: IndexSet, J: IndexSet) -> bool:
@@ -175,10 +180,8 @@ def ij_recoverable_css(C1: LinearCode, C2: LinearCode, I: IndexSet, J: IndexSet)
         raise NotNested("need C2^perp_e inside C1")
     _check_nesting(C1.n, I, J)
     d1 = dual_euclidean(C1)
-    Irel = I.relative_to(J)
-    if shorten(puncture(C1, J), Irel).gen != shorten(d2, I).gen:
-        return False
-    return shorten(puncture(C2, J), Irel).gen == shorten(d1, I).gen
+    return (_ij_condition(C1, d2, I, J, puncture, shorten)
+            and _ij_condition(C2, d1, I, J, puncture, shorten))
 
 
 # ---------------------------------------------------------------------------
@@ -249,21 +252,17 @@ def verify_quantum_rdelta_lrc(carrier: Union[SymplecticCode, LinearCode, CssPair
     if r < 1 or delta < 2:
         raise BadParameters(f"need r >= 1 and delta >= 2, got ({r}, {delta})")
 
-    if form == "symplectic":
-        C = carrier
-        _require_symplectic_so(C)
-        n = C.n
-        check = lambda I, J: ij_recoverable(C, I, J)
-    elif form in ("hermitian", "euclidean"):
-        C = carrier
-        if not _self_orth_linear(C, form):
-            raise NotSelfOrthogonal(f"carrier is not {form} self-orthogonal")
-        n = C.n
-        check = lambda I, J: _ij_recoverable_linear(C, I, J, form)
-    elif form == "css":
+    if form == "css":
         C1, C2 = carrier
         n = C1.n
-        check = lambda I, J: ij_recoverable_css(C1, C2, I, J)
+        check = partial(ij_recoverable_css, C1, C2)
+    elif form in FORMS:
+        _require_self_orthogonal(carrier, form)
+        n = carrier.n
+        if form == "symplectic":
+            check = partial(ij_recoverable, carrier)
+        else:
+            check = partial(_ij_recoverable_linear, carrier, form=form)
     else:
         raise BadParameters(f"unknown form {form!r}")
 
@@ -291,38 +290,22 @@ def verify_quantum_rdelta_lrc(carrier: Union[SymplecticCode, LinearCode, CssPair
             except (HypothesisNotMet, BudgetExceeded):
                 break
 
-    work = 0
-    j_cache: Dict[Tuple[int, ...], bool] = {}
-    sets: Dict[int, IndexSet] = {}
-    for i in range(1, n + 1):
-        found = None
-        for size in range(delta, max_size + 1):
-            if size in blocked_sizes:
-                continue
-            others = [j for j in range(1, n + 1) if j != i]
-            work += comb(n - 1, size - 1) * comb(size, delta - 1) * (2 * size) ** 2
-            if work > budget:
-                return Verdict("inconclusive",
-                               reason=f"budget {budget} exhausted during set search")
-            for rest in combinations(others, size - 1):
-                J = IndexSet.of(n, (i,) + rest)
-                ok = j_cache.get(J.members)
-                if ok is None:
-                    ok = _ij_all_subsets_ok(check, n, J, delta)
-                    j_cache[J.members] = ok
-                if ok:
-                    found = J
-                    break
-            if found is not None:
-                break
-        if found is None:
-            reason = f"all sets of size <= {max_size} through coordinate {i} fail"
-            if blocked_sizes:
-                reason += (f" (sizes {sorted(blocked_sizes)} excluded by the "
-                           "generalized-symplectic-weight impossibility filter)")
-            return Verdict("refuted", reason=reason)
-        sets[i] = found
-    return Verdict("certified", LocalityCertificate.of(n, r, delta, sets))
+    note = ""
+    if blocked_sizes:
+        note = (f" (sizes {sorted(blocked_sizes)} excluded by the "
+                "generalized-symplectic-weight impossibility filter)")
+    seen: Dict[Tuple[int, ...], bool] = {}
+
+    def qualifies(J: IndexSet) -> bool:
+        # a set through several coordinates is tested once
+        ok = seen.get(J.members)
+        if ok is None:
+            ok = seen[J.members] = _ij_all_subsets_ok(check, n, J, delta)
+        return ok
+
+    return scan_recovery_sets(n, r, delta, max_size, qualifies,
+                              lambda size: comb(size, delta - 1) * (2 * size) ** 2,
+                              budget, "set search", blocked_sizes, note)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +357,13 @@ def _dual_for_form(C: LinearCode, form: str) -> LinearCode:
     raise BadParameters(f"bridge forms are hermitian/euclidean, not {form!r}")
 
 
+def _dual_of_dual_containing(C: LinearCode, form: str) -> LinearCode:
+    dual = _dual_for_form(C, form)
+    if not C.contains_code(dual):
+        raise NotNested(f"C must be {form} dual-containing")
+    return dual
+
+
 @dataclass(frozen=True)
 class BridgeResult:
     """Outcome of relating classical and quantum (r, delta)-recoverability."""
@@ -391,9 +381,7 @@ def bridge_classical_quantum(C: LinearCode, form: str, r: int, delta: int,
     derived stabilizer code when delta <= d(C^perp); otherwise verify the
     quantum side directly on the dual (the stabilizer carrier).
     """
-    dual = _dual_for_form(C, form)
-    if not C.contains_code(dual):
-        raise NotNested(f"C must be {form} dual-containing")
+    dual = _dual_of_dual_containing(C, form)
     d_dual = min_distance(dual, "auto", budget)
     if delta <= d_dual:
         classical = verify_rdelta_lrc(C, r, delta, budget=budget)
@@ -406,13 +394,10 @@ def ij_recoverable_via_bridge(C: LinearCode, form: str, I: IndexSet, J: IndexSet
     """(I, J)-level bridge: for dual-containing C with |I| <= d(C^perp) - 1,
     the derived code is (I, J)-recoverable iff erasures at I are classically
     correctable from J minus I, i.e. sigma_I[pi_J(C)] = 0."""
-    dual = _dual_for_form(C, form)
-    if not C.contains_code(dual):
-        raise NotNested(f"C must be {form} dual-containing")
+    dual = _dual_of_dual_containing(C, form)
     if len(I) > min_distance(dual) - 1:
         raise HypothesisNotMet("needs |I| <= d(C^perp) - 1")
-    _check_nesting(C.n, I, J)
-    return shorten(puncture(C, J), I.relative_to(J)).k == 0
+    return classical_erasure_criterion(C, I, J)
 
 
 def classical_erasure_criterion(C: LinearCode, I: IndexSet, J: IndexSet) -> bool:
@@ -434,9 +419,7 @@ class PurityReport:
 
 def purity_check(C: LinearCode, form: str, budget: int = DEFAULT_BUDGET) -> PurityReport:
     """Pure iff d(C) <= d(C^perp); both distances are computed exactly."""
-    dual = _dual_for_form(C, form)
-    if not C.contains_code(dual):
-        raise NotNested(f"C must be {form} dual-containing")
+    dual = _dual_of_dual_containing(C, form)
     d_code = min_distance(C, "auto", budget)
     d_dual = min_distance(dual, "auto", budget)
     return PurityReport(d_code <= d_dual, d_code, d_dual)
@@ -444,7 +427,7 @@ def purity_check(C: LinearCode, form: str, budget: int = DEFAULT_BUDGET) -> Puri
 
 def stabilizer_distance_symplectic(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> int:
     """Exact distance of the stabilizer code: min swt over C^perp_s minus C."""
-    _require_symplectic_so(C)
+    _require_self_orthogonal(C, "symplectic")
     dual = dual_symplectic(C)
     count = C.field.q ** dual.dim
     if count > budget:

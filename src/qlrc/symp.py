@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import comb
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import (
@@ -25,13 +23,21 @@ from .errors import (
     DimensionMismatch,
     EmptyIndexSet,
     FormMismatch,
-    NotAQuadraticExtension,
     TOutOfRange,
     ZeroCode,
 )
-from .code import DEFAULT_BUDGET, IndexSet, LinearCode, hermitian_dot
+from .code import (
+    DEFAULT_BUDGET,
+    FORMS,
+    IndexSet,
+    LinearCode,
+    form_kernel,
+    form_rows,
+    shortened_matrix,
+    weight_hierarchy,
+)
 from .gf import Field
-from .matrix import Matrix, dot, kernel, row_space_canonical
+from .matrix import Matrix, dot, row_space_canonical
 
 
 @dataclass(frozen=True)
@@ -68,18 +74,17 @@ class SymplecticCode:
     def dim(self) -> int:
         return self.gen.rows
 
-    def codewords(self) -> Iterator[Tuple[int, ...]]:
-        return LinearCode(self.field, 2 * self.n, self.dim, self.gen).codewords()
-
-    def contains_word(self, v: Sequence[int]) -> bool:
-        from .matrix import in_row_space
-        return in_row_space(self.gen, v)
-
-    def contains_code(self, other: "SymplecticCode") -> bool:
-        return all(self.contains_word(r) for r in other.gen.data)
-
     def as_linear(self) -> LinearCode:
         return LinearCode(self.field, 2 * self.n, self.dim, self.gen)
+
+    def codewords(self) -> Iterator[Tuple[int, ...]]:
+        return self.as_linear().codewords()
+
+    def contains_word(self, v: Sequence[int]) -> bool:
+        return self.as_linear().contains_word(v)
+
+    def contains_code(self, other: "SymplecticCode") -> bool:
+        return self.as_linear().contains_code(other)
 
 
 # ---------------------------------------------------------------------------
@@ -90,24 +95,13 @@ def symplectic_form(field: Field, x: Sequence[int], y: Sequence[int]) -> int:
     """(a|b) *s (c|d) = a.d - b.c for x=(a|b), y=(c|d)."""
     if len(x) != len(y) or len(x) % 2:
         raise DimensionMismatch("vectors must share an even length")
-    n = len(x) // 2
-    lhs = dot(field, x[:n], y[n:])
-    rhs = dot(field, x[n:], y[:n])
-    return field.sub(lhs, rhs)
-
-
-def _omega(C: SymplecticCode) -> Matrix:
-    """Rows (a|b) mapped to (-b|a); x *s y = omega(x) . y."""
-    F = C.field
-    n = C.n
-    rows = [tuple(F.neg(v) for v in r[n:]) + r[:n] for r in C.gen.data]
-    return Matrix(F, rows, cols=2 * n)
+    return dot(field, form_rows(field, (x,), "symplectic")[0], y)
 
 
 @lru_cache(maxsize=None)
 def dual_symplectic(C: SymplecticCode) -> SymplecticCode:
     """{y : x *s y = 0 for all x in C}; dim C + dim dual = 2n."""
-    return SymplecticCode.from_matrix(kernel(_omega(C)))
+    return SymplecticCode.from_matrix(form_kernel(C.gen, "symplectic"))
 
 
 def is_self_orthogonal(code, form: str) -> bool:
@@ -116,29 +110,15 @@ def is_self_orthogonal(code, form: str) -> bool:
     ``form`` is one of ``symplectic`` (SymplecticCode), ``euclidean`` or
     ``hermitian`` (LinearCode; hermitian needs GF(q^2)).
     """
-    if form == "symplectic":
-        if not isinstance(code, SymplecticCode):
-            raise FormMismatch("symplectic form needs a SymplecticCode")
-        F = code.field
-        rows = code.gen.data
-        return all(symplectic_form(F, r, s) == 0
-                   for i, r in enumerate(rows) for s in rows[i:])
-    if form == "euclidean":
-        if not isinstance(code, LinearCode):
-            raise FormMismatch("euclidean form needs a LinearCode")
-        F = code.field
-        rows = code.gen.data
-        return all(dot(F, r, s) == 0 for i, r in enumerate(rows) for s in rows[i:])
-    if form == "hermitian":
-        if not isinstance(code, LinearCode):
-            raise FormMismatch("hermitian form needs a LinearCode")
-        F = code.field
-        if F.m % 2:
-            raise NotAQuadraticExtension(f"{F!r} is not a quadratic extension")
-        rows = code.gen.data
-        return all(hermitian_dot(F, r, s) == 0
-                   for i, r in enumerate(rows) for s in rows[i:])
-    raise FormMismatch(f"unknown form {form!r}")
+    if form not in FORMS:
+        raise FormMismatch(f"unknown form {form!r}")
+    kind = SymplecticCode if form == "symplectic" else LinearCode
+    if not isinstance(code, kind):
+        raise FormMismatch(f"{form} form needs a {kind.__name__}")
+    F = code.field
+    rows = code.gen.data
+    image = form_rows(F, rows, form)
+    return all(dot(F, x, s) == 0 for i, x in enumerate(image) for s in rows[i:])
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +152,7 @@ def shorten_paired(C: SymplecticCode, J: IndexSet) -> SymplecticCode:
         return SymplecticCode.zero(C.field, len(J))
     if not out_cols:
         return puncture_paired(C, J)
-    g_out = C.gen.submatrix_cols(out_cols)
-    lam = kernel(g_out.transpose())
-    return SymplecticCode.from_matrix(lam.mat_mul(C.gen.submatrix_cols(cols)))
+    return SymplecticCode.from_matrix(shortened_matrix(C.gen, cols, out_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +189,8 @@ def min_symplectic_weight(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> in
             if best == 1:
                 return 1
         return best
-    # paired column-dependency scan: smallest |S| with sigma_S(C) nonzero
-    for size in range(1, C.n + 1):
-        if comb(C.n, size) > budget:
-            raise BudgetExceeded(f"C({C.n},{size}) position sets exceed budget {budget}")
-        for pos in combinations(range(1, C.n + 1), size):
-            if shorten_paired(C, IndexSet(C.n, pos)).dim >= 1:
-                return size
-    raise ZeroCode("no nonzero codeword found")  # pragma: no cover
+    # smallest |S| with sigma_S(C) nonzero, i.e. the first generalized weight
+    return gsw_hierarchy(C, 1, budget)[0]
 
 
 def gsw(C: SymplecticCode, t: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -232,21 +204,7 @@ def gsw_hierarchy(C: SymplecticCode, t_max: int, budget: int = DEFAULT_BUDGET) -
     """(gsw_1, ..., gsw_t_max), scanning position sets by increasing size."""
     if not 1 <= t_max <= C.dim:
         raise TOutOfRange(f"t_max={t_max} outside 1..{C.dim}")
-    out: list[Optional[int]] = [None] * t_max
-    found = 0
-    for size in range(1, C.n + 1):
-        if comb(C.n, size) > budget:
-            raise BudgetExceeded(f"C({C.n},{size}) position sets exceed budget {budget}")
-        for pos in combinations(range(1, C.n + 1), size):
-            dim = shorten_paired(C, IndexSet(C.n, pos)).dim
-            for t in range(found, min(dim, t_max)):
-                if out[t] is None:
-                    out[t] = size
-            while found < t_max and out[found] is not None:
-                found += 1
-            if found == t_max:
-                return tuple(out)  # type: ignore[arg-type]
-    raise TOutOfRange("hierarchy incomplete")  # pragma: no cover
+    return weight_hierarchy(C.n, lambda J: shorten_paired(C, J).gen.rows, t_max, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,14 @@ def test_loads_rejects_malformed():
         loads_code("q=4 p=2 m=3 poly=7\nn=2 k=1\n1 1\n")
     with pytest.raises(ParseError):
         loads_code("q=2 p=2 m=1 poly=2\nn=3 k=1\n1 1\n")
+    with pytest.raises(ParseError):
+        loads_code("q=2 p=0 m=1 poly=2\nn=3 k=1\n1 1 1\n")
+    with pytest.raises(ParseError):
+        loads_code("q=2 p=2 m=1000000000 poly=2\nn=3 k=1\n1 1 1\n")
+    with pytest.raises(ParseError):
+        loads_code("q=2 p=2 m=1 poly=2\nlayout=symplectic n=2\n")
+    with pytest.raises(ParseError):
+        loads_code("q=2 p=2 m=1 poly=2\nn=-3 k=0\n")
 
 
 def test_construct_verify_round_trip(tmp_path, capsys):
@@ -155,3 +163,41 @@ def test_verify_with_certificate_file(tmp_path, capsys):
     assert run("verify", str(hpath), "--mode", "classical", "-r", "3", "-d", "2",
                "--certificate", str(cpath)) == 0
     capsys.readouterr()
+
+
+HAM_FILE = "q=2 p=2 m=1 poly=2\nn=3 k=1\n1 1 1\n"
+
+
+@pytest.mark.parametrize("inputs, argv", [
+    ({"c.code": "q=2 p=2 m=1 poly=2\nk=1\n1 1 1\n"},
+     ["verify", "c.code", "-r", "1", "-d", "2"]),
+    ({"c.code": "q=2 p=2 m=1 poly=2\nn=3 k=1\n1 x 1\n"},
+     ["verify", "c.code", "-r", "1", "-d", "2"]),
+    ({"c.code": "q=2 p=2 m=1 poly=2\nlayout=symplectic\nn=2 k=1\n1 0\n"},
+     ["verify", "c.code", "--mode", "quantum", "-r", "1", "-d", "2"]),
+    ({"c.code": HAM_FILE, "cert.json": '{"delta": 2, "sets": {"1": [1, 2]}}'},
+     ["verify", "c.code", "-r", "1", "-d", "2", "--certificate", "cert.json"]),
+    ({}, ["construct", "affine:n1=5,n2=5,delta=rect:3,4", "-o", "out.code"]),
+    ({}, ["construct", "grs:q2=4,n=x,k=2", "-o", "out.code"]),
+    ({"d.txt": "1 2 3\n"}, ["construct", "affine:q=5,n1=5,n2=5,delta=custom:@d.txt", "-o", "o"]),
+    ({"c.code": HAM_FILE}, ["construct", "css:@c.code,@c.code,@c.code", "-o", "out.code"]),
+], ids=["dims-without-n", "non-integer-entry", "layout-without-n", "certificate-without-r",
+        "affine-without-q", "grs-n-not-integer", "custom-delta-bad-line", "css-three-files"])
+def test_bad_input_exits_3_with_error_line(tmp_path, capsys, monkeypatch, inputs, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    assert run(*argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unexpected_exception_exits_4_with_traceback(tmp_path, capsys, monkeypatch):
+    from qlrc import files
+
+    def boom(path):
+        raise RuntimeError("simulated bug")
+
+    monkeypatch.setattr(files, "load_code", boom)
+    assert run("verify", str(tmp_path / "c.code"), "-r", "1", "-d", "2") == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: simulated bug" in err

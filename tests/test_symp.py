@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlrc.errors import FormMismatch, TOutOfRange
 from qlrc.gf import GF
-from qlrc.code import IndexSet, LinearCode
+from qlrc.code import IndexSet, LinearCode, dual_euclidean, dual_hermitian
 from qlrc.symp import (
     SymplecticCode,
     css_product,
@@ -167,3 +169,30 @@ def test_max_isotropic_extension_steane(steane):
     assert M.contains_code(steane)
     assert dual_symplectic(M) == M
     assert dual_symplectic(steane).contains_code(M)
+
+
+@pytest.mark.parametrize("which", ["code", "dual"])
+def test_min_symplectic_weight_scan_matches_enumeration(steane, which):
+    C = steane if which == "code" else dual_symplectic(steane)
+    enumerated = min_symplectic_weight(C)
+    # a budget below q^dim forces the position-set scan
+    assert min_symplectic_weight(C, budget=C.field.q ** C.dim - 1) == enumerated
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_is_self_orthogonal_iff_inside_own_dual(data):
+    form = data.draw(st.sampled_from(("euclidean", "hermitian", "symplectic")))
+    q = data.draw(st.sampled_from((4, 9) if form == "hermitian" else (2, 3, 4, 5)))
+    F = GF(*{2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}[q])
+    n = data.draw(st.integers(1, 4))
+    cols = 2 * n if form == "symplectic" else n
+    k = data.draw(st.integers(0, 3))
+    rows = [[data.draw(st.integers(0, q - 1)) for _ in range(cols)] for _ in range(k)]
+    if form == "symplectic":
+        C = SymplecticCode.from_rows(F, rows, n=n)
+        dual = dual_symplectic(C)
+    else:
+        C = LinearCode.from_rows(F, rows, n=n)
+        dual = dual_hermitian(C) if form == "hermitian" else dual_euclidean(C)
+    assert is_self_orthogonal(C, form) == dual.contains_code(C)
