@@ -240,13 +240,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _quantum_verify_linear(C: LinearCode, form: str, args) -> Tuple[dict, int]:
+def _quantum_verify_linear(C: LinearCode, form: str, args, cert) -> Tuple[dict, int]:
     dual = _dual_for_form(C, form)
     report: dict = {}
     bounds = []
     if C.contains_code(dual):
         # dual-containing input: the derived code has k = 2 dim C - n
-        res = bridge_classical_quantum(C, form, args.r, args.delta, args.budget)
+        res = bridge_classical_quantum(C, form, args.r, args.delta, args.budget, cert)
         verdict = res.verdict
         k_q = 2 * C.k - C.n
         pur = purity_check(C, form, args.budget)
@@ -274,8 +274,7 @@ def _quantum_verify_linear(C: LinearCode, form: str, args) -> Tuple[dict, int]:
         print(f"verified via: {res.via} (dual distance {res.d_dual})")
         print(f"optimality: {label}")
     elif is_self_orthogonal(C, form):
-        verdict = verify_quantum_rdelta_lrc(C, form, args.r, args.delta,
-                                            budget=args.budget)
+        verdict = verify_quantum_rdelta_lrc(C, form, args.r, args.delta, cert, args.budget)
         k_q = C.n - 2 * C.k
         report.update({"carrier": "self-orthogonal", "quantum_k": k_q})
         print(f"carrier: {form} self-orthogonal stabilizer side, "
@@ -299,15 +298,13 @@ def _finish_verdict(report: dict, verdict) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     code = files.load_code(args.code)
-    cert = None
+    cert = files.load_certificate(args.certificate, code.n) if args.certificate else None
     report = {"schema": SCHEMA_VERSION, "mode": args.mode, "form": args.form,
               "r": args.r, "delta": args.delta, "seed": args.seed}
 
     if args.mode == "classical":
         if not isinstance(code, LinearCode):
             raise ParseError("classical verification needs a classical code file")
-        if args.certificate:
-            cert = files.load_certificate(args.certificate, code.n)
         verdict = verify_rdelta_lrc(code, args.r, args.delta, cert, args.budget)
         d = min_distance(code, "auto", args.budget)
         bounds = [classical_singleton((code.n, code.k, d), args.r, args.delta)]
@@ -324,8 +321,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if form == "symplectic":
         if not isinstance(code, SymplecticCode):
             raise ParseError("symplectic form needs a symplectic code file")
-        if args.certificate:
-            cert = files.load_certificate(args.certificate, code.n)
         verdict = verify_quantum_rdelta_lrc(code, "symplectic", args.r, args.delta,
                                             cert, args.budget)
         k_q = code.n - code.dim
@@ -348,13 +343,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ParseError("css form needs classical code files")
         other = files.load_code(args.pair) if args.pair else code
         verdict = verify_quantum_rdelta_lrc((code, other), "css", args.r, args.delta,
-                                            budget=args.budget)
+                                            cert, args.budget)
         rc = _finish_verdict(report, verdict)
         _emit(report, args.json)
         return rc
     if not isinstance(code, LinearCode):
         raise ParseError(f"{form} form needs a classical code file")
-    sub_report, rc = _quantum_verify_linear(code, form, args)
+    sub_report, rc = _quantum_verify_linear(code, form, args, cert)
     report.update(sub_report)
     _emit(report, args.json)
     return rc

@@ -7,9 +7,11 @@ throughout: ``R`` names the coordinates that survive puncturing/shortening,
 and indices are 1-based on the public surface.
 
 Distance and weight computations are exact and budgeted.  The ``enumerate``
-strategy walks all q^k codewords; the ``dependency`` strategy looks for the
-smallest w such that w columns of a parity-check matrix are linearly
-dependent, scanning w = 1, 2, ... with subset enumeration.  Either raises
+strategy walks all q^k codewords with one split-table numpy kernel for every
+field (:func:`iter_codeword_blocks`: two half-span tables, one comparison
+per entry); the ``dependency`` strategy looks for the smallest w such that
+w columns of a parity-check matrix are linearly dependent, scanning
+w = 1, 2, ... with subset enumeration.  Either raises
 :class:`~qlrc.errors.BudgetExceeded` instead of running away.
 """
 
@@ -213,13 +215,13 @@ def form_kernel(gen: Matrix, form: str) -> Matrix:
     return kernel(Matrix(gen.field, form_rows(gen.field, gen.data, form), cols=gen.cols))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 17)
 def dual_euclidean(C: LinearCode) -> LinearCode:
     """Euclidean dual: the kernel of the generator matrix."""
     return LinearCode.from_matrix(form_kernel(C.gen, "euclidean"))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 17)
 def dual_hermitian(C: LinearCode) -> LinearCode:
     """Hermitian dual over GF(q^2): Euclidean kernel of the entrywise
     q-th power of the generator."""
@@ -266,25 +268,42 @@ def shortened_matrix(gen: Matrix, keep: Sequence[int], drop: Sequence[int]) -> M
 # codeword enumeration (bulk)
 # ---------------------------------------------------------------------------
 
-def iter_codeword_blocks(gen_rows: Sequence[Sequence[int]], q: int,
-                         chunk: int = 1 << 16):
-    """Yield (start_index, block) numpy arrays of codewords over a prime field.
+def iter_codeword_blocks(C: LinearCode, chunk: int = 1 << 16):
+    """Yield (start_index, nonzero) for the q^k codewords of C in ascending
+    message order (little-endian base-q digits over the generator rows),
+    matching :meth:`LinearCode.codewords`.
 
-    Messages are ascending base-q integers (little-endian digits over the
-    generator rows), matching :meth:`LinearCode.codewords` order.
+    ``nonzero`` is a boolean array with one row per codeword, True where
+    codeword start_index + row is nonzero.  The low ka = ceil(k/2) rows span
+    a table A and the negated high rows a table -B, both of integer
+    encodings, so message a + q^ka * b is A[a] + B[b], nonzero exactly where
+    A[a] != -B[b]: one comparison per entry, the same for every field.
     """
     import numpy as np
 
-    G = np.array(gen_rows, dtype=np.int64)
-    k = G.shape[0]
-    total = q ** k
-    radix = q ** np.arange(k, dtype=np.int64)
-    start = 0
-    while start < total:
-        stop = min(total, start + chunk)
-        msgs = (np.arange(start, stop, dtype=np.int64)[:, None] // radix) % q
-        yield start, (msgs @ G) % q
-        start = stop
+    F, n = C.field, C.n
+    dtype = np.min_scalar_type(F.q - 1)
+    add = None
+    if C.k > 2:
+        # a half of two or more rows needs the field's q x q addition table;
+        # then at least q^3 words are enumerated
+        add = np.array([[F.add(a, b) for b in range(F.q)] for a in range(F.q)], dtype)
+
+    def span(rows):
+        table = np.zeros((1, n), dtype)
+        for row in rows:
+            multiples = np.array([[F.mul(c, x) for x in row] for c in range(F.q)], dtype)
+            if len(table) > 1:
+                multiples = add[multiples[:, None, :], table[None, :, :]]
+            table = multiples.reshape(-1, n)
+        return table
+
+    ka = (C.k + 1) // 2
+    low = span(C.gen.data[:ka])
+    neg_high = span([[F.neg(x) for x in row] for row in C.gen.data[ka:]])
+    per = max(1, chunk // len(low))
+    for b in range(0, len(neg_high), per):
+        yield b * len(low), (low[None, :, :] != neg_high[b:b + per, None, :]).reshape(-1, n)
 
 
 def min_weight_enumerate(C: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
@@ -294,25 +313,12 @@ def min_weight_enumerate(C: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     count = C.field.q ** C.k
     if count > budget:
         raise BudgetExceeded(f"enumerating {count} codewords exceeds budget {budget}")
-    if C.field.m == 1:
-        import numpy as np
-
-        best = C.n + 1
-        for start, block in iter_codeword_blocks(C.gen.data, C.field.q):
-            weights = np.count_nonzero(block, axis=1)
-            if start == 0:
-                weights[0] = C.n + 1  # mask the zero word
-            best = min(best, int(weights.min()))
-        return best
     best = C.n + 1
-    first = True
-    for w in C.codewords():
-        if first:
-            first = False
-            continue
-        wt = weight(w)
-        if wt and wt < best:
-            best = wt
+    for start, nonzero in iter_codeword_blocks(C):
+        weights = nonzero.sum(axis=1)
+        if start == 0:
+            weights[0] = C.n + 1  # mask the zero word
+        best = min(best, int(weights.min()))
     return best
 
 
@@ -354,12 +360,14 @@ def min_weight_dependency(C: LinearCode, budget: int = DEFAULT_BUDGET,
     raise ZeroCode("no nonzero codeword found")  # pragma: no cover
 
 
+@lru_cache(maxsize=1 << 10)
 def min_distance(C: LinearCode, strategy: str = "auto", budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum Hamming distance.
 
     ``enumerate`` iterates all q^k codewords, ``dependency`` scans parity
     column supports by increasing size, ``auto`` picks whichever fits the
-    budget (preferring enumeration when q^k is small).
+    budget (preferring enumeration when q^k is small).  Results are memoised
+    per (C, strategy, budget); a call that raises is not.
     """
     if C.k == 0:
         raise ZeroCode("minimum distance of the zero code is undefined")

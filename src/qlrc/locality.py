@@ -36,10 +36,9 @@ from .code import (
     IndexSet,
     LinearCode,
     dual_euclidean,
+    iter_codeword_blocks,
     min_weight_dependency,
     puncture,
-    support,
-    weight,
 )
 
 
@@ -184,28 +183,14 @@ def _dual_support_table(C: LinearCode, max_weight: int,
     if count > budget:
         return None
     best: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-
-    def consider(supp: Tuple[int, ...]) -> None:
-        wt = len(supp)
-        for i in supp:
-            cur = best.get(i)
-            if cur is None or (wt, supp) < cur:
-                best[i] = (wt, supp)
-
-    if C.field.m == 1:
-        import numpy as np
-        from .code import iter_codeword_blocks
-
-        for start, block in iter_codeword_blocks(D.gen.data, C.field.q):
-            wts = np.count_nonzero(block, axis=1)
-            ok = np.nonzero((wts > 0) & (wts <= max_weight))[0]
-            for idx in ok:
-                consider(tuple(int(j) + 1 for j in np.nonzero(block[idx])[0]))
-    else:
-        for w in D.codewords():
-            wt = weight(w)
-            if 0 < wt <= max_weight:
-                consider(support(w))
+    for _, nonzero in iter_codeword_blocks(D):
+        wts = nonzero.sum(axis=1)
+        for idx in ((wts > 0) & (wts <= max_weight)).nonzero()[0]:
+            supp = tuple(int(j) + 1 for j in nonzero[idx].nonzero()[0])
+            for i in supp:
+                cur = best.get(i)
+                if cur is None or (len(supp), supp) < cur:
+                    best[i] = (len(supp), supp)
     return best
 
 

@@ -188,12 +188,12 @@ def ij_recoverable_css(C1: LinearCode, C2: LinearCode, I: IndexSet, J: IndexSet)
 # size-only filters
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 17)
 def _dual_min_swt(C: SymplecticCode) -> int:
     return min_symplectic_weight(dual_symplectic(C))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 17)
 def _own_min_swt(C: SymplecticCode) -> int:
     return min_symplectic_weight(C)
 
@@ -274,7 +274,8 @@ def verify_quantum_rdelta_lrc(carrier: Union[SymplecticCode, LinearCode, CssPair
         if certificate.n != n:
             return Verdict("refuted", reason="certificate length does not match the code")
         for i, J in certificate.sets:
-            if len(J) > max_size or not _ij_all_subsets_ok(check, n, J, delta):
+            # below delta elements the (I, J) condition would hold vacuously
+            if not delta <= len(J) <= max_size or not _ij_all_subsets_ok(check, n, J, delta):
                 return Verdict("refuted",
                                reason=f"certified set for coordinate {i} fails")
         return Verdict("certified", certificate)
@@ -376,17 +377,19 @@ class BridgeResult:
 
 
 def bridge_classical_quantum(C: LinearCode, form: str, r: int, delta: int,
-                             budget: int = DEFAULT_BUDGET) -> BridgeResult:
+                             budget: int = DEFAULT_BUDGET,
+                             certificate: Optional[LocalityCertificate] = None) -> BridgeResult:
     """Transfer the classical (r, delta) verdict for dual-containing C to the
     derived stabilizer code when delta <= d(C^perp); otherwise verify the
-    quantum side directly on the dual (the stabilizer carrier).
+    quantum side directly on the dual (the stabilizer carrier).  A supplied
+    certificate is checked by whichever verifier runs instead of a search.
     """
     dual = _dual_of_dual_containing(C, form)
     d_dual = min_distance(dual, "auto", budget)
     if delta <= d_dual:
-        classical = verify_rdelta_lrc(C, r, delta, budget=budget)
+        classical = verify_rdelta_lrc(C, r, delta, certificate, budget)
         return BridgeResult(True, d_dual, "bridge", classical, classical)
-    direct = verify_quantum_rdelta_lrc(dual, form, r, delta, budget=budget)
+    direct = verify_quantum_rdelta_lrc(dual, form, r, delta, certificate, budget)
     return BridgeResult(False, d_dual, "direct", direct, None)
 
 

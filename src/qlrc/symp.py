@@ -98,7 +98,7 @@ def symplectic_form(field: Field, x: Sequence[int], y: Sequence[int]) -> int:
     return dot(field, form_rows(field, (x,), "symplectic")[0], y)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 17)
 def dual_symplectic(C: SymplecticCode) -> SymplecticCode:
     """{y : x *s y = 0 for all x in C}; dim C + dim dual = 2n."""
     return SymplecticCode.from_matrix(form_kernel(C.gen, "symplectic"))

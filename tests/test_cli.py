@@ -201,3 +201,57 @@ def test_unexpected_exception_exits_4_with_traceback(tmp_path, capsys, monkeypat
     assert run("verify", str(tmp_path / "c.code"), "-r", "1", "-d", "2") == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: simulated bug" in err
+
+
+def _certificate_paths():
+    """(code, verify flags, valid certificate, wrong sets) per quantum path."""
+    from qlrc.code import dual_euclidean
+    from qlrc.constructions import hamming_code
+    from qlrc.locality import verify_rdelta_lrc
+    from qlrc.qlocality import verify_quantum_rdelta_lrc
+
+    ham = hamming_code(3, GF(2))
+    simplex = dual_euclidean(ham)
+    self_dual = LinearCode.from_rows(GF(2), [[1, 1, 0, 0], [0, 0, 1, 1]])
+    pairs = {i: [i, i % 7 + 1] for i in range(1, 8)}
+    return {
+        "css": (ham, ["--form", "css", "--pair", "{code}", "-r", "6", "-d", "2"],
+                verify_quantum_rdelta_lrc((ham, ham), "css", 6, 2).certificate, pairs),
+        "bridge": (ham, ["--form", "euclidean", "-r", "3", "-d", "2"],
+                   verify_rdelta_lrc(ham, 3, 2).certificate, pairs),
+        # d(C^perp) = 2 < delta: the bridge verifies the quantum side directly
+        "direct": (self_dual, ["--form", "euclidean", "-r", "2", "-d", "3"],
+                   verify_quantum_rdelta_lrc(self_dual, "euclidean", 2, 3).certificate,
+                   {1: [1, 2, 3], 2: [1, 2, 3], 3: [1, 2, 3], 4: [2, 3, 4]}),
+        "self-orthogonal": (simplex, ["--form", "euclidean", "-r", "3", "-d", "2"],
+                            verify_quantum_rdelta_lrc(simplex, "euclidean", 3, 2).certificate,
+                            pairs),
+    }
+
+
+@pytest.mark.parametrize("path", ["css", "bridge", "direct", "self-orthogonal"])
+def test_quantum_verify_reads_the_certificate(tmp_path, capsys, path):
+    from qlrc.files import save_certificate
+    from qlrc.code import IndexSet
+    from qlrc.locality import LocalityCertificate
+
+    code, flags, valid, wrong_sets = _certificate_paths()[path]
+    cpath = tmp_path / "c.code"
+    save_code(code, cpath)
+    argv = ["verify", str(cpath), "--mode", "quantum"] + [f.format(code=cpath) for f in flags]
+    wrong = LocalityCertificate.of(code.n, valid.r, valid.delta,
+                                   {i: IndexSet.of(code.n, J) for i, J in wrong_sets.items()})
+    save_certificate(valid, tmp_path / "valid.json")
+    save_certificate(wrong, tmp_path / "wrong.json")
+    (tmp_path / "bad.json").write_text('{"delta": 2}')
+    capsys.readouterr()
+    assert run(*argv, "--certificate", str(tmp_path / "missing.json")) == 3
+    assert run(*argv, "--certificate", str(tmp_path / "bad.json")) == 3
+    report = tmp_path / "report.json"
+    assert run(*argv, "--certificate", str(tmp_path / "valid.json"), "--json", str(report)) == 0
+    data = json.loads(report.read_text())
+    assert data["certificate"] == valid.to_json()
+    if path in ("bridge", "direct"):
+        assert data["via"] == path
+    assert run(*argv, "--certificate", str(tmp_path / "wrong.json")) == 1
+    assert "certified set for coordinate" in capsys.readouterr().out

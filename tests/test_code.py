@@ -3,19 +3,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlrc.errors import BudgetExceeded, EmptyIndexSet, NotAQuadraticExtension, ZeroCode
 from qlrc.gf import GF
 from qlrc.code import (
+    DEFAULT_BUDGET,
     IndexSet,
     LinearCode,
     dual_euclidean,
     dual_hermitian,
     generalized_hamming_weights,
+    iter_codeword_blocks,
     min_distance,
     min_weight_dependency,
+    min_weight_enumerate,
     puncture,
     shorten,
+    support,
     weight,
 )
 from conftest import random_linear_code
@@ -173,3 +179,41 @@ def test_codeword_enumeration_order_and_count():
     assert len(words) == 9 and len(set(words)) == 9
     assert words[0] == (0, 0, 0)
     assert words[1] == (1, 0, 2)        # first generator row, message (1, 0)
+
+
+KERNEL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_codeword_blocks_match_scalar_enumeration(pm, data):
+    """The split-table kernel yields the supports of codewords() in the same
+    order, for every field and k = 1..5 (fewer when q^k would exceed 4096)."""
+    F = GF(*pm)
+    k = data.draw(st.integers(1, max(kk for kk in range(1, 6) if F.q ** kk <= 4096)))
+    n = data.draw(st.integers(k, k + 4))
+    cols = data.draw(st.permutations(range(n)))
+    rows = [[1 if j == i else 0 for j in range(k)]
+            + [data.draw(st.integers(0, F.q - 1)) for _ in range(n - k)] for i in range(k)]
+    C = LinearCode.from_rows(F, [[row[c] for c in cols] for row in rows])
+    assert C.k == k
+    chunk = data.draw(st.sampled_from([1, 7, 1 << 16]))
+    supports = []
+    for start, nonzero in iter_codeword_blocks(C, chunk):
+        assert start == len(supports)
+        supports += [tuple(int(j) + 1 for j in row.nonzero()[0]) for row in nonzero]
+    words = list(C.codewords())
+    assert supports == [support(w) for w in words]
+    assert [len(s) for s in supports] == [weight(w) for w in words]
+    assert min_weight_enumerate(C) == min_weight_dependency(C)[0]
+
+
+def test_min_distance_memo_keeps_the_budget(hamming74):
+    assert min_distance(hamming74, "auto", DEFAULT_BUDGET) == 3
+    hits = min_distance.cache_info().hits
+    assert min_distance(hamming74, "auto", DEFAULT_BUDGET) == 3
+    assert min_distance.cache_info().hits == hits + 1
+    for _ in range(2):
+        # 2^4 words exceed the budget, and so do the C(7, 2) weight-2 supports
+        with pytest.raises(BudgetExceeded):
+            min_distance(hamming74, "auto", budget=8)

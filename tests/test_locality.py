@@ -14,6 +14,8 @@ from qlrc.locality import (
     ghw_locality_filter,
     is_rdelta_recovery_set,
     is_recovery_set,
+    punctured_distance_at_least,
+    scan_recovery_sets,
     verify_rdelta_lrc,
 )
 from qlrc.oracle import erasure_decode
@@ -145,6 +147,29 @@ def test_delta2_agrees_with_recovery_set_definition():
         assert verdict.certified == by_definition, (C.gen.data, r)
         done += 1
     assert done >= 30
+
+
+def test_delta2_certificates_equal_the_plain_scan():
+    """The dual-support table certifies exactly the sets of the increasing-size
+    lexicographic subset scan, over prime and extension fields."""
+    rng = random.Random(12)
+    fields = [GF(2), GF(3), GF(5), GF(2, 2), GF(2, 3), GF(3, 2)]
+    table_runs = 0
+    for _ in range(60):
+        F = rng.choice(fields)
+        n = rng.randrange(3, 8)
+        C = random_linear_code(rng, F, n, rng.randrange(1, n))
+        if C.k == 0:
+            continue
+        r = rng.randrange(1, n)
+        fast = verify_rdelta_lrc(C, r, 2)
+        plain = scan_recovery_sets(n, r, 2, min(r + 1, n),
+                                   lambda J: punctured_distance_at_least(C, J, 2),
+                                   lambda size: 1, 1 << 26, "subset search")
+        assert (fast.status, fast.certificate) == (plain.status, plain.certificate), \
+            (F, C.gen.data, r)
+        table_runs += all(any(C.gen.column(j)) for j in range(n))
+    assert table_runs >= 30
 
 
 def test_certified_implies_ghw_filter_true():

@@ -16,7 +16,7 @@ from qlrc.errors import (
 from qlrc.gf import GF
 from qlrc.code import IndexSet, LinearCode, dual_euclidean, dual_hermitian, min_distance
 from qlrc.constructions import hermitian_dc_grs_search
-from qlrc.locality import verify_rdelta_lrc
+from qlrc.locality import LocalityCertificate, verify_rdelta_lrc
 from qlrc.qlocality import (
     bridge_classical_quantum,
     classical_erasure_criterion,
@@ -289,6 +289,11 @@ def test_verify_certificate_checking(steane):
     cert = verify_quantum_rdelta_lrc(steane, "symplectic", 6, 2).certificate
     again = verify_quantum_rdelta_lrc(steane, "symplectic", 6, 2, certificate=cert)
     assert again.certified
+    # sets with fewer than delta elements contain no I of size delta - 1 strictly inside
+    for small in ({i: [i] for i in range(1, 8)}, {i: [i, i % 7 + 1] for i in range(1, 8)}):
+        tiny = LocalityCertificate.of(7, 6, 3, {i: IndexSet.of(7, J) for i, J in small.items()})
+        v = verify_quantum_rdelta_lrc(steane, "symplectic", 6, 3, certificate=tiny)
+        assert v.status == "refuted"
 
 
 def test_verify_quantum_guards(steane, hamming74):
