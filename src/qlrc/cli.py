@@ -56,7 +56,7 @@ from .constructions import (
 from .gf import GF
 from .locality import classical_singleton, verify_rdelta_lrc
 from .qlocality import (
-    _dual_for_form,
+    _is_dual_containing,
     bridge_classical_quantum,
     purity_check,
     quantum_r_lrc_bound,
@@ -241,10 +241,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _quantum_verify_linear(C: LinearCode, form: str, args, cert) -> Tuple[dict, int]:
-    dual = _dual_for_form(C, form)
     report: dict = {}
     bounds = []
-    if C.contains_code(dual):
+    if _is_dual_containing(C, form):
         # dual-containing input: the derived code has k = 2 dim C - n
         res = bridge_classical_quantum(C, form, args.r, args.delta, args.budget, cert)
         verdict = res.verdict

@@ -11,8 +11,10 @@ strategy walks all q^k codewords with one split-table numpy kernel for every
 field (:func:`iter_codeword_blocks`: two half-span tables, one comparison
 per entry); the ``dependency`` strategy looks for the smallest w such that
 w columns of a parity-check matrix are linearly dependent, scanning
-w = 1, 2, ... with subset enumeration.  Either raises
-:class:`~qlrc.errors.BudgetExceeded` instead of running away.
+w = 1, 2, ... over column subsets in lexicographic order.  That scan is
+incremental: a depth-first walk keeps the columns after each prefix reduced
+against it, so each subset costs one row operation, not one kernel.  Either
+raises :class:`~qlrc.errors.BudgetExceeded` instead of running away.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     ZeroCode,
 )
 from .gf import Field
-from .matrix import Matrix, kernel, row_space_canonical
+from .matrix import Matrix, kernel, row_ops, row_space_canonical
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -337,27 +339,61 @@ def min_weight_dependency(C: LinearCode, budget: int = DEFAULT_BUDGET,
     """Minimum weight via the parity-check column-dependency scan.
 
     Returns (d, witness codeword).  The scan visits supports in ascending
-    (size, lexicographic) order, so the witness is deterministic.
+    (size, lexicographic) order, so the witness is deterministic.  Raises
+    :class:`~qlrc.errors.ZeroCode` when no support of size up to ``max_w``
+    is dependent.
     """
     if C.k == 0:
         raise ZeroCode("zero code has no minimum weight")
     H = dual_euclidean(C).gen
     n = C.n
     top = max_w if max_w is not None else n
+    columns = [H.column(j) for j in range(n)]
     for w in range(1, top + 1):
         if comb(n, w) > budget:
             raise BudgetExceeded(f"C({n},{w}) supports exceed budget {budget}")
-        for cols in combinations(range(n), w):
-            coeffs = _columns_dependent(C.field, H, cols)
-            if coeffs is None:
-                continue
-            word = [0] * n
-            for pos, coef in zip(cols, coeffs):
-                word[pos] = coef
-            # dependency of < w columns would have been found at a lower level,
-            # so every coefficient here is nonzero and the weight is exactly w
-            return w, tuple(word)
-    raise ZeroCode("no nonzero codeword found")  # pragma: no cover
+        cols = _first_dependent_subset(H.field, columns, w)
+        if cols is None:
+            continue
+        coeffs = _columns_dependent(C.field, H, cols)
+        word = [0] * n
+        for pos, coef in zip(cols, coeffs):
+            word[pos] = coef
+        # dependency of < w columns would have been found at a lower level,
+        # so every coefficient here is nonzero and the weight is exactly w
+        return w, tuple(word)
+    raise ZeroCode("no nonzero codeword found")
+
+
+def _first_dependent_subset(F: Field, columns: Sequence[Sequence[int]],
+                            w: int) -> Optional[Tuple[int, ...]]:
+    """The lexicographically first w-subset of ``columns`` that is linearly
+    dependent, or None; every smaller subset must be independent.
+
+    A depth-first walk over the w-combinations: each node keeps the columns
+    after its prefix reduced against the prefix (the prefix is independent,
+    so its last column always has a pivot), and a leaf is dependent exactly
+    when its column reduces to zero.  One row operation per leaf.
+    """
+    inv, neg, scale, axpy = row_ops(F)
+
+    def walk(prefix: Tuple[int, ...], start: int, reduced: list) -> Optional[Tuple[int, ...]]:
+        if len(prefix) == w - 1:
+            for i, v in enumerate(reduced):
+                if not any(v):
+                    return prefix + (start + i,)
+            return None
+        for i in range(len(reduced) - (w - 1 - len(prefix))):
+            v = reduced[i]
+            p = next(j for j, x in enumerate(v) if x)
+            b = scale(v, inv(v[p]))
+            rest = [axpy(u, neg(u[p]), b) if u[p] else u for u in reduced[i + 1:]]
+            found = walk(prefix + (start + i,), start + i + 1, rest)
+            if found is not None:
+                return found
+        return None
+
+    return walk((), 0, list(columns))
 
 
 @lru_cache(maxsize=1 << 10)

@@ -9,7 +9,9 @@ loops over a field enumerate elements in ascending integer encoding.
 A :class:`Field` does arithmetic directly on the integer encodings (that is
 what the matrix and code layers use); :class:`FieldElement` is a thin typed
 wrapper with operator overloading for callers who prefer values that know
-their field.
+their field.  Fields with q <= 2^8 also expose add/mul/neg/inv lookup
+tables indexed by encoding (:meth:`Field.tables`), built on first use, for
+the row operations of the matrix layer.
 
 The modulus used for GF(p^m) is the lexicographically smallest monic
 irreducible polynomial of degree m over GF(p) (smallest integer encoding),
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DivisionByZero,
@@ -35,6 +37,7 @@ from .errors import (
 
 MAX_FIELD_SIZE = 1 << 20      # largest q for which a modulus is auto-supplied
 _TABLE_LIMIT = 1 << 12        # build log/exp tables for extension fields up to this q
+LOOKUP_LIMIT = 1 << 8         # largest q with add/mul/neg/inv lookup tables
 
 
 def is_prime(n: int) -> bool:
@@ -173,6 +176,17 @@ def smallest_irreducible(p: int, m: int) -> Tuple[int, ...]:
 # Field
 # ---------------------------------------------------------------------------
 
+class FieldTables(NamedTuple):
+    """Lookup tables indexed by integer encoding: ``add[a][b]``,
+    ``mul[a][b]``, ``neg[a]`` and ``inv[a]`` (``inv[0]`` is 0, a
+    placeholder: zero has no inverse)."""
+
+    add: Tuple[Tuple[int, ...], ...]
+    mul: Tuple[Tuple[int, ...], ...]
+    neg: Tuple[int, ...]
+    inv: Tuple[int, ...]
+
+
 class Field:
     """GF(p^m) with arithmetic on integer-encoded elements.
 
@@ -180,7 +194,7 @@ class Field:
     (p, m, modulus) so fields compare by identity.
     """
 
-    __slots__ = ("p", "m", "q", "irreducible", "_exp", "_log", "_hash")
+    __slots__ = ("p", "m", "q", "irreducible", "_exp", "_log", "_hash", "_tables")
 
     def __init__(self, p: int, m: int = 1, irreducible: Optional[Sequence[int]] = None):
         if not is_prime(p):
@@ -207,6 +221,7 @@ class Field:
         self._exp: Optional[list[int]] = None
         self._log: Optional[list[int]] = None
         self._hash = hash((p, m, irreducible))
+        self._tables: Optional[FieldTables] = None
         if m > 1 and q <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -349,6 +364,31 @@ class Field:
 
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
+
+    def tables(self) -> Optional[FieldTables]:
+        """The lookup tables of this field, built on first use; None when
+        q exceeds :data:`LOOKUP_LIMIT`."""
+        if self._tables is None and self.q <= LOOKUP_LIMIT:
+            self._tables = self._build_lookup()
+        return self._tables
+
+    def _build_lookup(self) -> FieldTables:
+        p, q = self.p, self.q
+        # a + b digit by digit: the low base-p digit, plus p times the sum of
+        # the higher digits, which is an earlier row (a // p < a)
+        add = [tuple(range(q))]
+        for a in range(1, q):
+            high = add[a // p]
+            add.append(tuple((a + b) % p + p * high[b // p] for b in range(q)))
+        if self.m == 1:
+            mul = [tuple(a * b % p for b in range(q)) for a in range(q)]
+        else:
+            exp, log = self._exp, self._log
+            mul = [(0,) * q] + [(0,) + tuple(exp[log[a] + log[b]] for b in range(1, q))
+                                for a in range(1, q)]
+        neg = tuple(row.index(0) for row in add)
+        inv = (0,) + tuple(mul[a].index(1) for a in range(1, q))
+        return FieldTables(tuple(add), tuple(mul), neg, inv)
 
     def _build_tables(self) -> None:
         # log/exp over a multiplicative generator; generator = element with

@@ -6,6 +6,15 @@ first nonzero entry (scanning top to bottom) as pivot; over an exact field
 there is no magnitude pivoting, and the fixed scan order makes every result
 deterministic.
 
+Elimination works a row at a time through :func:`row_ops`: scaling a row
+by s and adding f times one row to another.  For q <= 2^8 both are table
+lookups over the field's encodings (``MUL[s][x]`` and
+``ADD[x][MUL[f][y]]``, see :meth:`Field.tables`); larger fields get the
+same two primitives from the scalar methods, so there is one elimination
+body for every field.  Results of the layer's own operations are built
+through :meth:`Matrix._of`, which skips the entry validation of the public
+constructor and computes the hash only when asked.
+
 The canonical representative of a row space is its RREF with zero rows
 dropped, so subspace equality is a plain comparison of canonical forms.
 The empty subspace is the 0 x n matrix, which is a real value distinct
@@ -15,7 +24,9 @@ from "absent".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
 from .gf import Field
@@ -40,21 +51,34 @@ class Matrix:
         self.rows = len(rows)
         self.cols = cols
         self.data = rows
-        self._hash = hash((field, cols, rows))
+        self._hash = None
 
     # -- constructors --
 
     @staticmethod
+    def _of(field: Field, data: Tuple[Row, ...], cols: int) -> "Matrix":
+        """Trusted constructor: ``data`` is already a tuple of int tuples of
+        length ``cols``, so nothing is converted or checked."""
+        M = object.__new__(Matrix)
+        M.field = field
+        M.rows = len(data)
+        M.cols = cols
+        M.data = data
+        M._hash = None
+        return M
+
+    @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, [[0] * cols for _ in range(rows)], cols=cols)
+        return Matrix._of(field, ((0,) * cols,) * rows, cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return Matrix._of(field, tuple(tuple(1 if i == j else 0 for j in range(n))
+                                       for i in range(n)), n)
 
     @staticmethod
     def empty(field: Field, cols: int) -> "Matrix":
-        return Matrix(field, [], cols=cols)
+        return Matrix._of(field, (), cols)
 
     # -- value semantics --
 
@@ -63,6 +87,8 @@ class Matrix:
                 and self.cols == other.cols and self.data == other.data)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.field, self.cols, self.data))
         return self._hash
 
     def __repr__(self) -> str:
@@ -81,29 +107,36 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         if self.rows == 0:
-            return Matrix(self.field, [() for _ in range(self.cols)], cols=0)
-        return Matrix(self.field, zip(*self.data), cols=self.rows)
+            return Matrix._of(self.field, ((),) * self.cols, 0)
+        return Matrix._of(self.field, tuple(zip(*self.data)), self.rows)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if other.cols != self.cols or other.field != self.field:
             raise DimensionMismatch("vstack shape mismatch")
-        return Matrix(self.field, self.data + other.data, cols=self.cols)
+        return Matrix._of(self.field, self.data + other.data, self.cols)
 
     def submatrix_cols(self, cols: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, [tuple(r[j] for j in cols) for r in self.data],
-                      cols=len(cols))
+        if len(cols) > 1:
+            data = tuple(map(itemgetter(*cols), self.data))
+        else:  # itemgetter of one column returns a bare entry, of none fails
+            data = tuple(tuple([r[j] for j in cols]) for r in self.data)
+        return Matrix._of(self.field, data, len(cols))
 
     def mat_mul(self, other: "Matrix") -> "Matrix":
+        """Each output row is the combination of ``other``'s rows by one row
+        of ``self``."""
         if self.cols != other.rows or self.field != other.field:
             raise DimensionMismatch("matmul shape mismatch")
-        F = self.field
-        if self.rows == 0:
-            return Matrix.empty(F, other.cols)
-        if other.rows == 0:
-            return Matrix.zeros(F, self.rows, other.cols)
-        ot = tuple(zip(*other.data))
-        out = [tuple(dot(F, r, c) for c in ot) for r in self.data]
-        return Matrix(F, out, cols=other.cols)
+        axpy = row_ops(self.field).axpy
+        zero = (0,) * other.cols
+        out = []
+        for r in self.data:
+            acc = zero
+            for f, y in zip(r, other.data):
+                if f:
+                    acc = axpy(acc, f, y)
+            out.append(tuple(acc))
+        return Matrix._of(self.field, tuple(out), other.cols)
 
     def mul_vec(self, v: Sequence[int]) -> Row:
         if len(v) != self.cols:
@@ -121,13 +154,56 @@ def dot(field: Field, a: Sequence[int], b: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# row primitives
+# ---------------------------------------------------------------------------
+
+class RowOps(NamedTuple):
+    """Scalar and row primitives of one field.
+
+    ``scale(x, s)`` is s * x and ``axpy(x, f, y)`` is x + f * y, both as
+    new lists; ``inv`` and ``neg`` act on single elements.
+    """
+
+    inv: Callable[[int], int]
+    neg: Callable[[int], int]
+    scale: Callable[[Sequence[int], int], List[int]]
+    axpy: Callable[[Sequence[int], int, Sequence[int]], List[int]]
+
+
+@lru_cache(maxsize=64)
+def row_ops(F: Field) -> RowOps:
+    """Table lookups for q <= 2^8, the scalar field methods above."""
+    tables = F.tables()
+    if tables is None:
+        def scale(x, s):
+            return [F.mul(s, a) for a in x]
+
+        def axpy(x, f, y):
+            return [F.add(a, F.mul(f, b)) for a, b in zip(x, y)]
+
+        return RowOps(F.inv, F.neg, scale, axpy)
+    ADD, MUL, NEG, INV = tables
+
+    def scale(x, s):
+        ms = MUL[s]
+        return [ms[a] for a in x]
+
+    def axpy(x, f, y):
+        mf = MUL[f]
+        return [ADD[a][mf[b]] for a, b in zip(x, y)]
+
+    return RowOps(INV.__getitem__, NEG.__getitem__, scale, axpy)
+
+
+# ---------------------------------------------------------------------------
 # reduction
 # ---------------------------------------------------------------------------
 
 def rref(M: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon form and its (0-based, increasing) pivot columns."""
     F = M.field
-    rows = [list(r) for r in M.data]
+    inv, neg, scale, axpy = row_ops(F)
+    rows: List[Sequence[int]] = list(M.data)
     nrows, ncols = M.rows, M.cols
     pivots = []
     r = 0
@@ -140,18 +216,18 @@ def rref(M: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = F.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
+        lead = rows[r][c]
+        if lead != 1:
+            rows[r] = scale(rows[r], inv(lead))
+        prow = rows[r]
         for i in range(nrows):
             if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = axpy(rows[i], neg(rows[i][c]), prow)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return Matrix(F, rows, cols=ncols), tuple(pivots)
+    return Matrix._of(F, tuple(map(tuple, rows)), ncols), tuple(pivots)
 
 
 def rank(M: Matrix) -> int:
@@ -161,7 +237,7 @@ def rank(M: Matrix) -> int:
 def row_space_canonical(M: Matrix) -> Matrix:
     """RREF with zero rows dropped: the unique representative of the row space."""
     R, pivots = rref(M)
-    return Matrix(M.field, R.data[:len(pivots)], cols=M.cols)
+    return Matrix._of(M.field, R.data[:len(pivots)], M.cols)
 
 
 def kernel(M: Matrix) -> Matrix:
@@ -172,6 +248,7 @@ def kernel(M: Matrix) -> Matrix:
     """
     R, pivots = rref(M)
     F = M.field
+    neg = row_ops(F).neg
     n = M.cols
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
@@ -180,11 +257,11 @@ def kernel(M: Matrix) -> Matrix:
         vec = [0] * n
         vec[f] = 1
         for i, pc in enumerate(pivots):
-            vec[pc] = F.neg(R.data[i][f])
-        basis.append(vec)
+            vec[pc] = neg(R.data[i][f])
+        basis.append(tuple(vec))
     if not basis:
         return Matrix.empty(F, n)
-    return row_space_canonical(Matrix(F, basis, cols=n))
+    return row_space_canonical(Matrix._of(F, tuple(basis), n))
 
 
 @dataclass(frozen=True)

@@ -358,11 +358,16 @@ def _dual_for_form(C: LinearCode, form: str) -> LinearCode:
     raise BadParameters(f"bridge forms are hermitian/euclidean, not {form!r}")
 
 
+@lru_cache(maxsize=1 << 10)
+def _is_dual_containing(C: LinearCode, form: str) -> bool:
+    """C contains its ``form`` dual (hermitian or euclidean)."""
+    return C.contains_code(_dual_for_form(C, form))
+
+
 def _dual_of_dual_containing(C: LinearCode, form: str) -> LinearCode:
-    dual = _dual_for_form(C, form)
-    if not C.contains_code(dual):
+    if not _is_dual_containing(C, form):
         raise NotNested(f"C must be {form} dual-containing")
-    return dual
+    return _dual_for_form(C, form)
 
 
 @dataclass(frozen=True)

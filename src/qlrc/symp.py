@@ -193,8 +193,12 @@ def min_symplectic_weight(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> in
     return gsw_hierarchy(C, 1, budget)[0]
 
 
+@lru_cache(maxsize=1 << 17)
 def gsw(C: SymplecticCode, t: int, budget: int = DEFAULT_BUDGET) -> int:
-    """t-th generalized symplectic weight: min |J| with dim sigma_J(C) >= t."""
+    """t-th generalized symplectic weight: min |J| with dim sigma_J(C) >= t.
+
+    Memoised per (C, t, budget); a call that raises is not.
+    """
     if not 1 <= t <= C.dim:
         raise TOutOfRange(f"t={t} outside 1..{C.dim}")
     return gsw_hierarchy(C, t, budget)[t - 1]

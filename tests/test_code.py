@@ -1,6 +1,8 @@
 """Classical codes: duals, puncture/shorten, distances, weight hierarchies."""
 
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from qlrc.errors import BudgetExceeded, EmptyIndexSet, NotAQuadraticExtension, Z
 from qlrc.gf import GF
 from qlrc.code import (
     DEFAULT_BUDGET,
+    _columns_dependent,
     IndexSet,
     LinearCode,
     dual_euclidean,
@@ -217,3 +220,76 @@ def test_min_distance_memo_keeps_the_budget(hamming74):
         # 2^4 words exceed the budget, and so do the C(7, 2) weight-2 supports
         with pytest.raises(BudgetExceeded):
             min_distance(hamming74, "auto", budget=8)
+
+
+def reference_min_weight_dependency(C, budget=DEFAULT_BUDGET, max_w=None):
+    """The subset-by-subset scan: one kernel per column subset."""
+    if C.k == 0:
+        raise ZeroCode("zero code has no minimum weight")
+    H = dual_euclidean(C).gen
+    n = C.n
+    top = max_w if max_w is not None else n
+    for w in range(1, top + 1):
+        if comb(n, w) > budget:
+            raise BudgetExceeded(f"C({n},{w}) supports exceed budget {budget}")
+        for cols in combinations(range(n), w):
+            coeffs = _columns_dependent(C.field, H, cols)
+            if coeffs is None:
+                continue
+            word = [0] * n
+            for pos, coef in zip(cols, coeffs):
+                word[pos] = coef
+            return w, tuple(word)
+    raise ZeroCode("no nonzero codeword found")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (BudgetExceeded, ZeroCode) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# GF(3^6) lies above the lookup-table limit, so it takes the scalar row ops
+SCAN_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 6)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SCAN_FIELDS), st.data())
+def test_dependency_scan_matches_subset_reference(pm, data):
+    """Same (d, witness), ZeroCode past max_w and BudgetExceeded text as the
+    subset-by-subset scan, on random codes with repeated and zero columns."""
+    F = GF(*pm)
+    n = data.draw(st.integers(1, 9))
+    k = data.draw(st.integers(1, n))
+    entry = st.one_of(st.just(0), st.integers(0, F.q - 1))
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(k)]
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, n - 1))          # a zero coordinate of C
+        rows = [r[:j] + [0] + r[j + 1:] for r in rows]
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, n - 1))          # a unit word: zero column of H
+        rows.append([1 if i == j else 0 for i in range(n)])
+    C = LinearCode.from_rows(F, rows, n=n)
+    if C.k == 0:
+        return
+    budget = data.draw(st.sampled_from([1, 4, 10, 40, DEFAULT_BUDGET]))
+    max_w = data.draw(st.one_of(st.none(), st.integers(1, n)))
+    assert (_outcome(min_weight_dependency, C, budget, max_w)
+            == _outcome(reference_min_weight_dependency, C, budget, max_w))
+
+
+def test_dependency_scan_edge_codes():
+    for pm in ((2, 1), (3, 2), (3, 6)):
+        F = GF(*pm)
+        full = LinearCode.full(F, 4)                  # parity check with no rows
+        assert dual_euclidean(full).gen.rows == 0
+        assert min_weight_dependency(full) == reference_min_weight_dependency(full) \
+            == (1, (1, 0, 0, 0))
+        rep = LinearCode.from_rows(F, [[1, 1, 1, 1, 1]])
+        for max_w in (None, 4, 5):
+            assert (_outcome(min_weight_dependency, rep, DEFAULT_BUDGET, max_w)
+                    == _outcome(reference_min_weight_dependency, rep, DEFAULT_BUDGET, max_w))
+        assert _outcome(min_weight_dependency, rep, DEFAULT_BUDGET, 4)[0] == "ZeroCode"
+        assert _outcome(min_weight_dependency, rep, 9, None) == (
+            "BudgetExceeded", "C(5,2) supports exceed budget 9")

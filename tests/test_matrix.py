@@ -139,3 +139,118 @@ def test_row_space_membership_and_intersection():
     assert in_row_space(A, (1, 1, 0))
     assert not in_row_space(A, (0, 0, 1))
     assert intersect_row_spaces(A, B).data == ((0, 1, 0),)
+
+
+# ---------------------------------------------------------------------------
+# differential test against the scalar Gauss-Jordan reference
+# ---------------------------------------------------------------------------
+
+def reference_rref(M):
+    """Gauss-Jordan with one Field method call per entry (the pre-table body)."""
+    F = M.field
+    rows = [list(r) for r in M.data]
+    nrows, ncols = M.rows, M.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = F.inv(rows[r][c])
+        if inv != 1:
+            rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def reference_kernel(M):
+    F, n = M.field, M.cols
+    R, pivots = reference_rref(M)
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        vec = [0] * n
+        vec[f] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = F.neg(R[i][f])
+        basis.append(vec)
+    if not basis:
+        return ()
+    K, kp = reference_rref(Matrix(F, basis, cols=n))
+    return K[:len(kp)]
+
+
+def reference_solve(M, s):
+    """(status, particular, kernel rows) of M x^T = s^T."""
+    n = M.cols
+    aug = Matrix(M.field, [row + (si,) for row, si in zip(M.data, s)], cols=n + 1)
+    R, pivots = reference_rref(aug)
+    if n in pivots:
+        return "none", None, None
+    x = [0] * n
+    for i, pc in enumerate(pivots):
+        x[pc] = R[i][n]
+    if len(pivots) == n:
+        return "unique", tuple(x), None
+    return "many", tuple(x), reference_kernel(M)
+
+
+# GF(3^6) lies above the lookup-table limit, so it takes the scalar row ops
+REFERENCE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4), (2, 8),
+                    (3, 6)]
+
+
+@st.composite
+def field_matrices(draw):
+    F = GF(*draw(st.sampled_from(REFERENCE_FIELDS)))
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, F.q - 1))
+    data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    return Matrix(F, data, cols=cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_matrices(), st.data())
+def test_kernels_match_the_scalar_reference(M, data):
+    F = M.field
+    R, pivots = rref(M)
+    assert (R.data, pivots) == reference_rref(M)
+    assert (R.rows, R.cols) == (M.rows, M.cols)
+    assert kernel(M).data == reference_kernel(M)
+    # right-hand sides: random, and consistent ones M x^T
+    x = [data.draw(st.integers(0, F.q - 1)) for _ in range(M.cols)]
+    for s in ([data.draw(st.integers(0, F.q - 1)) for _ in range(M.rows)], M.mul_vec(x)):
+        res = solve(M, s)
+        status, particular, kbasis = reference_solve(M, s)
+        assert (res.status, res.particular) == (status, particular)
+        assert (res.kernel_basis.data if res.kernel_basis is not None else None) == kbasis
+    v = [data.draw(st.integers(0, F.q - 1)) for _ in range(M.cols)]
+    for vec in (v, M.transpose().mul_vec([1] * M.rows)):
+        expected = (not any(vec) if M.rows == 0
+                    else reference_solve(M.transpose(), vec)[0] != "none")
+        assert in_row_space(M, vec) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices())
+def test_internal_constructor_equals_public(M):
+    data = tuple(tuple(int(x) for x in row) for row in M.data)
+    trusted = Matrix._of(M.field, data, M.cols)
+    public = Matrix(M.field, [list(row) for row in data], cols=M.cols)
+    assert trusted == public and public == trusted
+    assert hash(trusted) == hash(public)
+    R = rref(public)[0]
+    copy = Matrix(M.field, R.data, cols=R.cols)
+    assert R == copy and hash(R) == hash(copy)

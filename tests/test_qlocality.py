@@ -10,6 +10,7 @@ from qlrc.errors import (
     BadParameters,
     EmptyIndexSet,
     HypothesisNotMet,
+    NotNested,
     NotSelfOrthogonal,
     ParityViolation,
 )
@@ -450,6 +451,25 @@ def test_purity_examples(hamming74):
     grs, _ = hermitian_dc_grs_search(F4, 5, 3)
     pr = purity_check(grs, "hermitian")
     assert (pr.pure, pr.d_code, pr.d_dual) == (True, 3, 4)
+
+
+def test_dual_containing_check_runs_once_per_code_and_form(monkeypatch):
+    calls = []
+    contains = LinearCode.contains_code
+    monkeypatch.setattr(LinearCode, "contains_code",
+                        lambda self, other: calls.append(1) or contains(self, other))
+    # the dual of a self-orthogonal [7,3,2]_5 code (1 + 2^2 = 0 over GF(5))
+    C = dual_euclidean(LinearCode.from_rows(GF(5), [[1, 2, 0, 0, 0, 0, 0], [0, 0, 1, 2, 0, 0, 0],
+                                                    [0, 0, 0, 0, 1, 2, 0]]))
+    for _ in range(2):
+        bridge_classical_quantum(C, "euclidean", 2, 2)
+        purity_check(C, "euclidean")
+        ij_recoverable_via_bridge(C, "euclidean", IndexSet.of(7, [1]), IndexSet.of(7, [1, 2, 3]))
+    assert len(calls) <= 1
+    not_dc = LinearCode.from_rows(GF(2), [[1, 0, 0]])
+    for _ in range(2):
+        with pytest.raises(NotNested):
+            purity_check(not_dc, "euclidean")
 
 
 def test_stabilizer_distance_steane(steane):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlrc.errors import FormMismatch, TOutOfRange
+from qlrc.errors import BudgetExceeded, FormMismatch, TOutOfRange
 from qlrc.gf import GF
 from qlrc.code import IndexSet, LinearCode, dual_euclidean, dual_hermitian
 from qlrc.symp import (
@@ -140,6 +140,18 @@ def test_gsw_hierarchy_steane(steane):
     assert gsw(D, 1) == 3 and gsw(D, 4) == 5
     with pytest.raises(TOutOfRange):
         gsw(D, 9)
+
+
+def test_gsw_is_memoised_and_raising_calls_are_not(steane):
+    D = dual_symplectic(steane)
+    assert gsw(D, 2) == 3
+    hits = gsw.cache_info().hits
+    assert gsw(D, 2) == 3 and gsw.cache_info().hits == hits + 1
+    size = gsw.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):      # C(7, 1) sets exceed 5
+            gsw(D, 4, 5)
+    assert gsw.cache_info().currsize == size
 
 
 def test_gsw_non_decreasing_and_first_equals_min_weight():
