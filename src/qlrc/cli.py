@@ -10,8 +10,9 @@ Three subcommands:
 * ``weights`` prints a generalized weight hierarchy.
 
 Exit codes are a stable scripting contract: 0 certified/attained,
-1 refuted, 2 inconclusive, 3 usage or input error, 4 internal error (a
-bug; the traceback goes to stderr).
+1 refuted, 2 inconclusive (a verdict, or a work budget that ran out
+outside one; ``inconclusive: <reason>`` goes to stderr), 3 usage or input
+error, 4 internal error (a bug; the traceback goes to stderr).
 
 Descriptors::
 
@@ -434,6 +435,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except BudgetExceeded as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except QlrcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

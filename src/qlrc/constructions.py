@@ -354,7 +354,7 @@ def css_pair(C1: LinearCode, C2: LinearCode,
 def symplectic_quantum_params(C: SymplecticCode,
                               budget: int = DEFAULT_BUDGET) -> QuantumCodeParams:
     """[[n, n - dim C, d]] for a symplectic self-orthogonal carrier, with d
-    computed exactly when the dual enumeration fits the budget."""
+    computed exactly when the subset scan fits the budget."""
     from .qlocality import stabilizer_distance_symplectic
 
     k = C.n - C.dim

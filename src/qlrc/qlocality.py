@@ -21,6 +21,16 @@ skipping a whole size class during refutation; certificates are always
 backed by concrete subspace checks.  :func:`sufficient_filter` (large J
 relative to the dual's minimum symplectic weight) is a standalone public
 predicate; the verifier does not call it.
+
+The exact distances are the size of the smallest uncorrectable erasure set
+S.  For codes A inside B, some word of B outside A is supported inside S
+exactly when sigma_S(A) != sigma_S(B); shortening is dual to puncturing,
+sigma_S(X)^perp = pi_S(X^perp), so that holds exactly when
+rank A^perp[:, S] > rank B^perp[:, S].  The stabilizer distance takes
+A = C and B = C^perp_s on paired columns, the CSS distance the two blocks
+(C2^perp_e, C1) and (C1^perp_e, C2).  The scan skips the rank of A^perp
+whenever B^perp[:, S] already has full column rank: A^perp[:, S] has |S|
+columns, so its rank cannot be larger.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ from .code import (
     min_distance,
     puncture,
     shorten,
+    weight_hierarchy,
 )
 from .locality import (
     BoundReport,
@@ -60,7 +71,7 @@ from .locality import (
     scan_recovery_sets,
     verify_rdelta_lrc,
 )
-from .matrix import dot
+from .matrix import rank
 from .symp import (
     SymplecticCode,
     dual_symplectic,
@@ -69,7 +80,6 @@ from .symp import (
     min_symplectic_weight,
     puncture_paired,
     shorten_paired,
-    symplectic_weight,
 )
 
 CssPair = Tuple[LinearCode, LinearCode]
@@ -129,13 +139,9 @@ def _ij_condition(big, small, I: IndexSet, J: IndexSet, puncture, shorten) -> bo
 
 
 def corrects_erasures_at(C: SymplecticCode, I: IndexSet) -> bool:
-    """Erasures at I are correctable iff sigma_I(C) = sigma_I(C^perp_s)."""
-    _require_self_orthogonal(C, "symplectic")
-    if not I.members:
-        raise EmptyIndexSet("I must be nonempty")
-    if len(I) >= C.n:
-        raise BadNesting("I must be a proper subset of the positions")
-    return shorten_paired(C, I).gen == shorten_paired(dual_symplectic(C), I).gen
+    """Erasures at I are correctable iff sigma_I(C) = sigma_I(C^perp_s): the
+    (I, J) criterion with J = [n]."""
+    return ij_recoverable(C, I, IndexSet.full(C.n))
 
 
 def ij_recoverable(C: SymplecticCode, I: IndexSet, J: IndexSet) -> bool:
@@ -188,22 +194,12 @@ def ij_recoverable_css(C1: LinearCode, C2: LinearCode, I: IndexSet, J: IndexSet)
 # size-only filters
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1 << 17)
-def _dual_min_swt(C: SymplecticCode) -> int:
-    return min_symplectic_weight(dual_symplectic(C))
-
-
-@lru_cache(maxsize=1 << 17)
-def _own_min_swt(C: SymplecticCode) -> int:
-    return min_symplectic_weight(C)
-
-
 def sufficient_filter(C: SymplecticCode, i_size: int, j_size: int) -> bool:
     """True guarantees (I, J)-recoverability for ALL pairs of these sizes:
     |J| >= n - swt(C^perp_s) + |I| + 1."""
     if not (1 <= i_size <= C.n and 1 <= j_size <= C.n):
         raise BadParameters("sizes must lie in 1..n")
-    return j_size >= C.n - _dual_min_swt(C) + i_size + 1
+    return j_size >= C.n - min_symplectic_weight(dual_symplectic(C)) + i_size + 1
 
 
 def impossibility_filter(C: SymplecticCode, params: Tuple[int, int],
@@ -215,9 +211,9 @@ def impossibility_filter(C: SymplecticCode, params: Tuple[int, int],
     when t = n + k - 2|J| + 2|I| > 0 and gsw_t(C^perp_s) >= n - |J| + 1.
     """
     n, k = params
-    if _own_min_swt(C) <= i_size:
-        raise HypothesisNotMet(
-            f"needs swt(C) >= {i_size + 1}, have {_own_min_swt(C)}")
+    swt = min_symplectic_weight(C)
+    if swt <= i_size:
+        raise HypothesisNotMet(f"needs swt(C) >= {i_size + 1}, have {swt}")
     t = n + k - 2 * j_size + 2 * i_size
     if t <= 0:
         return False
@@ -433,57 +429,47 @@ def purity_check(C: LinearCode, form: str, budget: int = DEFAULT_BUDGET) -> Puri
     return PurityReport(d_code <= d_dual, d_code, d_dual)
 
 
+def _first_uncorrectable_size(n: int, pairs, paired: bool, budget: int) -> int:
+    """|S| for the first S (by size, then lexicographically) on which
+    rank small[:, S] < rank big[:, S] for some (big, small) generator pair;
+    ``paired`` takes the columns S and S + n.  Charges C(n, w) per size w.
+    """
+    def uncorrectable(S: IndexSet) -> int:
+        cols = S.positions()
+        if paired:
+            cols += tuple(j + n for j in cols)
+        for big, small in pairs:
+            r = rank(small.submatrix_cols(cols))
+            # rank big[:, cols] <= len(cols), so a full-rank small side ties
+            if r < len(cols) and r < rank(big.submatrix_cols(cols)):
+                return 1
+        return 0
+
+    return weight_hierarchy(n, uncorrectable, 1, budget)[0]
+
+
 def stabilizer_distance_symplectic(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact distance of the stabilizer code: min swt over C^perp_s minus C."""
+    """Exact distance of the stabilizer code: min swt over C^perp_s minus C,
+    the size of the smallest uncorrectable erasure set."""
     _require_self_orthogonal(C, "symplectic")
     dual = dual_symplectic(C)
-    count = C.field.q ** dual.dim
-    if count > budget:
-        raise BudgetExceeded(f"enumerating {count} dual words exceeds budget {budget}")
-    best = None
-    for w in dual.codewords():
-        if not any(w):
-            continue
-        sw = symplectic_weight(w)
-        if (best is None or sw < best) and not C.contains_word(w):
-            best = sw
-    if best is None:
+    if dual.dim == C.dim:
         raise BadParameters("dual equals the code (k = 0): no undetectable error")
-    return best
+    return _first_uncorrectable_size(C.n, ((dual.gen, C.gen),), True, budget)
 
 
 def css_distance(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     """Exact CSS distance: min weight over (C1 - C2^perp_e) union (C2 - C1^perp_e).
 
-    Scans supports by increasing size using parity-check column dependencies,
-    so it stays feasible when q^k is far out of reach.
+    Scans supports by increasing size with one rank comparison per side, so
+    it stays feasible when q^k is far out of reach.
     """
-    from .matrix import kernel as mat_kernel
-
-    if not C1.contains_code(dual_euclidean(C2)):
+    d2 = dual_euclidean(C2)
+    if not C1.contains_code(d2):
         raise NotNested("need C2^perp_e inside C1")
-    n = C1.n
-    F = C1.field
-    sides = []
-    for own, other in ((C1, C2), (C2, C1)):
-        H = dual_euclidean(own).gen          # parity check of own
-        other_gen = other.gen                # z in other^perp_e iff other_gen . z = 0
-        sides.append((H, other_gen))
-    for w in range(1, n + 1):
-        if comb(n, w) * 2 > budget:
-            raise BudgetExceeded(f"support scan at weight {w} exceeds budget {budget}")
-        for H, other_gen in sides:
-            for cols in combinations(range(n), w):
-                ker = mat_kernel(H.submatrix_cols(cols))
-                if ker.rows == 0:
-                    continue
-                lc = LinearCode(F, w, ker.rows, ker)
-                for coeffs in lc.codewords():
-                    if not any(coeffs) or any(c == 0 for c in coeffs):
-                        continue  # smaller support: found at a lower level
-                    word = [0] * n
-                    for pos, coef in zip(cols, coeffs):
-                        word[pos] = coef
-                    if any(dot(F, row, word) for row in other_gen.data):
-                        return w
-    raise BadParameters("difference sets empty (k = 0)")  # pragma: no cover
+    if C1.k + C2.k == C1.n:
+        raise BadParameters("difference sets empty (k = 0)")
+    pairs = [(C1.gen, d2.gen)]
+    if C2 != C1:
+        pairs.append((C2.gen, dual_euclidean(C1).gen))
+    return _first_uncorrectable_size(C1.n, pairs, False, budget)

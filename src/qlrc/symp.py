@@ -33,6 +33,7 @@ from .code import (
     LinearCode,
     form_kernel,
     form_rows,
+    iter_codeword_blocks,
     shortened_matrix,
     weight_hierarchy,
 )
@@ -173,24 +174,27 @@ def pair_support(x: Sequence[int]) -> Tuple[int, ...]:
     return tuple(j + 1 for j in range(n) if x[j] or x[n + j])
 
 
+@lru_cache(maxsize=1 << 17)
 def min_symplectic_weight(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum symplectic weight over nonzero codewords."""
+    """Minimum symplectic weight over nonzero codewords.
+
+    Enumerates the q^dim words when that fits the budget (a word's pair
+    support is its a-half mask or'ed with its b-half mask), else scans
+    position sets.  Memoised per (C, budget); a call that raises is not.
+    """
     if C.dim == 0:
         raise ZeroCode("zero code has no minimum symplectic weight")
-    count = C.field.q ** C.dim
-    if count <= min(budget, 1 << 20):
-        best = 2 * C.n
-        first = True
-        for w in C.codewords():
-            if first:
-                first = False
-                continue
-            best = min(best, symplectic_weight(w))
-            if best == 1:
-                return 1
-        return best
-    # smallest |S| with sigma_S(C) nonzero, i.e. the first generalized weight
-    return gsw_hierarchy(C, 1, budget)[0]
+    if C.field.q ** C.dim > min(budget, 1 << 20):
+        # smallest |S| with sigma_S(C) nonzero, i.e. the first generalized weight
+        return gsw_hierarchy(C, 1, budget)[0]
+    n = C.n
+    best = n
+    for start, nonzero in iter_codeword_blocks(C.as_linear()):
+        weights = (nonzero[:, :n] | nonzero[:, n:]).sum(axis=1)
+        if start == 0:
+            weights[0] = n  # mask the zero word
+        best = min(best, int(weights.min()))
+    return best
 
 
 @lru_cache(maxsize=1 << 17)

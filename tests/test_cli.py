@@ -191,6 +191,21 @@ def test_bad_input_exits_3_with_error_line(tmp_path, capsys, monkeypatch, inputs
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--mode", "quantum", "--form", "euclidean", "-r", "4", "-d", "2",
+      "--budget", "1000"], "C(25,3) supports exceed budget 1000"),
+    (["verify", "-r", "4", "-d", "2", "--budget", "10"], "C(25,1) supports exceed budget 10"),
+    (["weights", "--kind", "ghw", "--t-max", "2", "--budget", "10"],
+     "C(25,1) subsets exceed budget 10"),
+], ids=["quantum-bridge-distance", "classical-distance", "ghw"])
+def test_budget_exhaustion_exits_2_inconclusive(tmp_path, capsys, argv, message):
+    path = str(tmp_path / "r5.code")
+    assert run("construct", "affine:q=5,n1=5,n2=5,delta=rect:3,4", "-o", path) == 0
+    capsys.readouterr()
+    assert run(argv[0], path, *argv[1:]) == 2
+    assert capsys.readouterr().err == f"inconclusive: {message}\n"
+
+
 def test_unexpected_exception_exits_4_with_traceback(tmp_path, capsys, monkeypatch):
     from qlrc import files
 

@@ -2,12 +2,16 @@
 
 import itertools
 import random
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlrc.errors import (
     BadNesting,
     BadParameters,
+    BudgetExceeded,
     EmptyIndexSet,
     HypothesisNotMet,
     NotNested,
@@ -22,6 +26,7 @@ from qlrc.qlocality import (
     bridge_classical_quantum,
     classical_erasure_criterion,
     corrects_erasures_at,
+    css_distance,
     ij_recoverable,
     ij_recoverable_css,
     ij_recoverable_euclidean,
@@ -35,7 +40,13 @@ from qlrc.qlocality import (
     sufficient_filter,
     verify_quantum_rdelta_lrc,
 )
-from qlrc.symp import SymplecticCode, css_product
+from qlrc.symp import (
+    SymplecticCode,
+    css_product,
+    dual_symplectic,
+    max_isotropic_extension,
+    symplectic_weight,
+)
 from conftest import random_linear_code, random_symplectic_selforth
 
 
@@ -474,3 +485,109 @@ def test_dual_containing_check_runs_once_per_code_and_form(monkeypatch):
 
 def test_stabilizer_distance_steane(steane):
     assert stabilizer_distance_symplectic(steane) == 3
+
+
+def test_distance_budgets_count_subsets(steane, hamming74):
+    # both distances are 3, found among the C(7, 3) = 35 subsets of size 3
+    for distance in (partial(stabilizer_distance_symplectic, steane),
+                     partial(css_distance, hamming74, hamming74)):
+        with pytest.raises(BudgetExceeded, match=r"C\(7,3\) subsets exceed budget 34"):
+            distance(budget=34)
+        assert distance(budget=35) == 3
+
+
+def test_distances_reject_k_zero(steane, hamming74, simplex73):
+    with pytest.raises(BadParameters):
+        stabilizer_distance_symplectic(max_isotropic_extension(steane))
+    with pytest.raises(BadParameters):     # C2^perp_e = C1: k = 3 + 4 - 7 = 0
+        css_distance(simplex73, hamming74)
+
+
+# Reference loops: the stabilizer distance by enumerating the symplectic
+# dual, and the CSS distance by enumerating both difference sets.
+
+def reference_stabilizer_distance(C):
+    dual = dual_symplectic(C)
+    best = None
+    for w in dual.codewords():
+        if not any(w):
+            continue
+        sw = symplectic_weight(w)
+        if (best is None or sw < best) and not C.contains_word(w):
+            best = sw
+    return best
+
+
+def reference_css_distance(C1, C2):
+    best = None
+    for own, other in ((C1, C2), (C2, C1)):
+        outside = dual_euclidean(other)
+        for w in own.codewords():
+            wt = sum(1 for x in w if x)
+            if wt and (best is None or wt < best) and not outside.contains_word(w):
+                best = wt
+    return best
+
+
+FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5)}
+MAX_WORDS = 1 << 12
+
+
+def _draw_vector(data, F, cols):
+    return [data.draw(st.integers(0, F.q - 1)) for _ in range(cols)]
+
+
+def _draw_combination(data, C):
+    """A word of C from drawn coefficients on its generator rows."""
+    F = C.field
+    word = [0] * C.gen.cols
+    for row in C.gen.data:
+        c = data.draw(st.integers(0, F.q - 1))
+        word = [F.add(x, F.mul(c, y)) for x, y in zip(word, row)]
+    return word
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_stabilizer_distance_matches_enumeration(data):
+    F = FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))]
+    n = data.draw(st.integers(1, 5))
+    # keep the dual (dimension 2n - dim C) small enough to enumerate
+    lowest = next(d for d in range(n + 1) if F.q ** (2 * n - d) <= MAX_WORDS)
+    target = data.draw(st.integers(lowest, n))
+    C = SymplecticCode.zero(F, n)
+    while C.dim < target:
+        # any word of the current dual keeps C isotropic
+        dual = dual_symplectic(C)
+        word = _draw_combination(data, dual)
+        if C.contains_word(word):
+            word = next(r for r in dual.gen.data if not C.contains_word(r))
+        C = SymplecticCode.from_rows(F, C.gen.data + (tuple(word),), n=n)
+    expected = reference_stabilizer_distance(C)
+    if expected is None:
+        with pytest.raises(BadParameters):
+            stabilizer_distance_symplectic(C)
+    else:
+        assert stabilizer_distance_symplectic(C) == expected
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_css_distance_matches_enumeration(data):
+    F = FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))]
+    n = data.draw(st.integers(1, 5))
+    rows = [_draw_vector(data, F, n) for _ in range(data.draw(st.integers(0, n)))]
+    C1 = LinearCode.from_rows(F, rows, n=n)
+    if data.draw(st.booleans()):
+        # C1 + C1^perp_e contains its own dual: the pair (C, C)
+        C1 = C2 = LinearCode.from_rows(F, C1.gen.data + dual_euclidean(C1).gen.data, n=n)
+    else:
+        # any C2 containing C1^perp_e has C2^perp_e inside C1
+        extra = [_draw_vector(data, F, n) for _ in range(data.draw(st.integers(0, n)))]
+        C2 = LinearCode.from_rows(F, dual_euclidean(C1).gen.data + tuple(map(tuple, extra)), n=n)
+    expected = reference_css_distance(C1, C2)
+    if expected is None:
+        with pytest.raises(BadParameters):
+            css_distance(C1, C2)
+    else:
+        assert css_distance(C1, C2) == expected

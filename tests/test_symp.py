@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlrc.errors import BudgetExceeded, FormMismatch, TOutOfRange
+from qlrc.errors import BudgetExceeded, FormMismatch, TOutOfRange, ZeroCode
 from qlrc.gf import GF
 from qlrc.code import IndexSet, LinearCode, dual_euclidean, dual_hermitian
 from qlrc.symp import (
@@ -189,6 +189,36 @@ def test_min_symplectic_weight_scan_matches_enumeration(steane, which):
     enumerated = min_symplectic_weight(C)
     # a budget below q^dim forces the position-set scan
     assert min_symplectic_weight(C, budget=C.field.q ** C.dim - 1) == enumerated
+
+
+def test_min_symplectic_weight_is_memoised_and_raising_calls_are_not(steane):
+    D = dual_symplectic(steane)
+    assert min_symplectic_weight(D) == 3
+    hits = min_symplectic_weight.cache_info().hits
+    assert min_symplectic_weight(D) == 3
+    assert min_symplectic_weight.cache_info().hits == hits + 1
+    size = min_symplectic_weight.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):      # 2^8 words and C(7, 1) sets exceed 5
+            min_symplectic_weight(D, 5)
+    assert min_symplectic_weight.cache_info().currsize == size
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_min_symplectic_weight_matches_enumeration(data):
+    q = data.draw(st.sampled_from((2, 3, 4, 5)))
+    F = GF(*{2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}[q])
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(0, 4))
+    rows = [[data.draw(st.integers(0, q - 1)) for _ in range(2 * n)] for _ in range(k)]
+    C = SymplecticCode.from_rows(F, rows, n=n)
+    if C.dim == 0:
+        with pytest.raises(ZeroCode):
+            min_symplectic_weight(C)
+        return
+    words = list(C.codewords())
+    assert min_symplectic_weight(C) == min(symplectic_weight(w) for w in words[1:])
 
 
 @given(st.data())
