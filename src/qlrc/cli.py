@@ -342,6 +342,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not isinstance(code, LinearCode):
             raise ParseError("css form needs classical code files")
         other = files.load_code(args.pair) if args.pair else code
+        if not isinstance(other, LinearCode):
+            raise ParseError("css form needs classical code files")
         verdict = verify_quantum_rdelta_lrc((code, other), "css", args.r, args.delta,
                                             cert, args.budget)
         rc = _finish_verdict(report, verdict)
@@ -382,7 +384,8 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="work-unit cap for exhaustive steps")
+                    help="work-unit cap: one unit per codeword enumerated, subset "
+                         "scanned, or erasure-pattern check ((I, J) pair) of a set search")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed echoed into reports (searches are deterministic)")
     sp.add_argument("--json", metavar="PATH", default=None,

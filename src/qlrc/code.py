@@ -35,7 +35,7 @@ from .errors import (
     ZeroCode,
 )
 from .gf import Field
-from .matrix import Matrix, kernel, row_ops, row_space_canonical
+from .matrix import Matrix, kernel, rank_of_columns, row_ops, row_space_canonical
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -75,18 +75,6 @@ class IndexSet:
     def positions(self) -> Tuple[int, ...]:
         """0-based column positions."""
         return tuple(i - 1 for i in self.members)
-
-    def relative_to(self, J: "IndexSet") -> "IndexSet":
-        """Re-index the members of self as positions inside J (1-based).
-
-        Used when a set of original coordinates must be addressed inside a
-        J-punctured code.
-        """
-        lookup = {idx: pos + 1 for pos, idx in enumerate(J.members)}
-        try:
-            return IndexSet(len(J), tuple(lookup[i] for i in self.members))
-        except KeyError as exc:
-            raise DimensionMismatch(f"{self} is not contained in {J}") from exc
 
     def __len__(self) -> int:
         return len(self.members)
@@ -334,35 +322,32 @@ def _columns_dependent(F: Field, H: Matrix, cols: Sequence[int]) -> Optional[Tup
     return ker.data[0]
 
 
-def min_weight_dependency(C: LinearCode, budget: int = DEFAULT_BUDGET,
-                          max_w: Optional[int] = None) -> Tuple[int, Tuple[int, ...]]:
+def min_weight_dependency(C: LinearCode,
+                          budget: int = DEFAULT_BUDGET) -> Tuple[int, Tuple[int, ...]]:
     """Minimum weight via the parity-check column-dependency scan.
 
     Returns (d, witness codeword).  The scan visits supports in ascending
-    (size, lexicographic) order, so the witness is deterministic.  Raises
-    :class:`~qlrc.errors.ZeroCode` when no support of size up to ``max_w``
-    is dependent.
+    (size, lexicographic) order, so the witness is deterministic.
     """
     if C.k == 0:
         raise ZeroCode("zero code has no minimum weight")
     H = dual_euclidean(C).gen
     n = C.n
-    top = max_w if max_w is not None else n
     columns = [H.column(j) for j in range(n)]
-    for w in range(1, top + 1):
+    w, cols = 0, None
+    # H has n - k < n rows, so its n columns are dependent: the loop ends by w = n
+    while cols is None:
+        w += 1
         if comb(n, w) > budget:
             raise BudgetExceeded(f"C({n},{w}) supports exceed budget {budget}")
         cols = _first_dependent_subset(H.field, columns, w)
-        if cols is None:
-            continue
-        coeffs = _columns_dependent(C.field, H, cols)
-        word = [0] * n
-        for pos, coef in zip(cols, coeffs):
-            word[pos] = coef
-        # dependency of < w columns would have been found at a lower level,
-        # so every coefficient here is nonzero and the weight is exactly w
-        return w, tuple(word)
-    raise ZeroCode("no nonzero codeword found")
+    coeffs = _columns_dependent(C.field, H, cols)
+    word = [0] * n
+    for pos, coef in zip(cols, coeffs):
+        word[pos] = coef
+    # dependency of < w columns would have been found at a lower level,
+    # so every coefficient here is nonzero and the weight is exactly w
+    return w, tuple(word)
 
 
 def _first_dependent_subset(F: Field, columns: Sequence[Sequence[int]],
@@ -453,4 +438,6 @@ def generalized_hamming_weights(C: LinearCode, t_max: int,
     """(w_1, ..., w_t_max) with w_t = min{|J| : dim sigma_J(C) >= t}."""
     if not 1 <= t_max <= C.k:
         raise TOutOfRange(f"t_max must be in 1..{C.k}")
-    return weight_hierarchy(C.n, lambda J: shorten(C, J).k, t_max, budget)
+    # dim sigma_J(C) = k - rank C[:, complement of J]
+    return weight_hierarchy(
+        C.n, lambda J: C.k - rank_of_columns(C.gen, J.complement().positions()), t_max, budget)

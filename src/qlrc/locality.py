@@ -3,8 +3,11 @@
 A coordinate i is (r, delta)-recoverable through a set J containing i when
 |J| <= r + delta - 1 and the punctured code at J has minimum distance at
 least delta; then any delta - 1 erasures inside J can be repaired from the
-rest of J.  The verifier either checks a supplied certificate or searches
-for one, and distinguishes three outcomes:
+rest of J.  No punctured code is built: pi_J(C) has a nonzero word
+supported inside E iff dim sigma_E[pi_J(C)] = rank C[:, J] - rank C[:, J \\ E]
+is positive, so d(pi_J(C)) >= delta iff rank C[:, J] > 0 and no delta - 1
+deletions from J lower it.  The verifier either checks a supplied
+certificate or searches for one, and distinguishes three outcomes:
 
 * Certified     - a certificate was found/validated (it is returned),
 * Refuted       - the search space was provably exhausted for some i,
@@ -29,7 +32,6 @@ from .errors import (
     IndexInR,
     IndexNotInJ,
     ParseError,
-    ZeroCode,
 )
 from .code import (
     DEFAULT_BUDGET,
@@ -37,9 +39,8 @@ from .code import (
     LinearCode,
     dual_euclidean,
     iter_codeword_blocks,
-    min_weight_dependency,
-    puncture,
 )
+from .matrix import rank_of_columns
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +129,13 @@ class Verdict:
 # recovery-set predicates
 # ---------------------------------------------------------------------------
 
-def punctured_distance_at_least(C: LinearCode, J: IndexSet, delta: int,
-                                budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff the punctured code at J is nonzero with distance >= delta."""
-    D = puncture(C, J)
-    if D.k == 0:
-        return False
-    if delta <= 1:
-        return True
-    try:
-        min_weight_dependency(D, budget, max_w=delta - 1)
-        return False          # found a word of weight <= delta-1
-    except ZeroCode:
-        return True
+def punctured_distance_at_least(C: LinearCode, J: IndexSet, delta: int) -> bool:
+    """True iff the punctured code at J is nonzero with distance >= delta:
+    rank C[:, J] > 0 and no delta - 1 deletions from J lower it."""
+    cols = J.positions()
+    full = rank_of_columns(C.gen, cols)
+    return full > 0 and len(cols) >= delta and all(
+        rank_of_columns(C.gen, kept) == full for kept in combinations(cols, len(cols) - delta + 1))
 
 
 def is_recovery_set(C: LinearCode, i: int, R: IndexSet) -> bool:
@@ -150,14 +145,13 @@ def is_recovery_set(C: LinearCode, i: int, R: IndexSet) -> bool:
     return punctured_distance_at_least(C, R.union(IndexSet.of(C.n, [i])), 2)
 
 
-def is_rdelta_recovery_set(C: LinearCode, i: int, J: IndexSet, delta: int,
-                           budget: int = DEFAULT_BUDGET) -> bool:
+def is_rdelta_recovery_set(C: LinearCode, i: int, J: IndexSet, delta: int) -> bool:
     """J is an (r, delta)-recovery set for i iff i in J and d(pi_J(C)) >= delta."""
     if i not in J:
         raise IndexNotInJ(f"index {i} must belong to J")
     if delta < 2:
         raise BadParameters("delta must be >= 2")
-    return punctured_distance_at_least(C, J, delta, budget)
+    return punctured_distance_at_least(C, J, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +205,7 @@ def verify_rdelta_lrc(C: LinearCode, r: int, delta: int,
             if len(J) > r + delta - 1:
                 return Verdict("refuted",
                                reason=f"certified set for coordinate {i} exceeds r+delta-1")
-            if not is_rdelta_recovery_set(C, i, J, delta, budget):
+            if not is_rdelta_recovery_set(C, i, J, delta):
                 return Verdict("refuted",
                                reason=f"certified set for coordinate {i} fails the distance check")
         return Verdict("certified", certificate)
@@ -235,22 +229,21 @@ def verify_rdelta_lrc(C: LinearCode, r: int, delta: int,
             return Verdict("certified", cert)
         # dual too large to enumerate; fall through to the subset scan
 
-    return scan_recovery_sets(
-        C.n, r, delta, max_size,
-        lambda J: punctured_distance_at_least(C, J, delta, budget),
-        lambda size: max(1, comb(size, delta - 1)), budget, "subset search")
+    return scan_recovery_sets(C.n, r, delta, max_size,
+                              lambda J: punctured_distance_at_least(C, J, delta),
+                              budget, "subset search")
 
 
 def scan_recovery_sets(n: int, r: int, delta: int, max_size: int,
-                       qualifies: Callable[[IndexSet], bool],
-                       cost: Callable[[int], int], budget: int, search: str,
+                       qualifies: Callable[[IndexSet], bool], budget: int, search: str,
                        skip: Collection[int] = (), note: str = "") -> Verdict:
     """Per coordinate i, the first J through i that ``qualifies``, scanning
     sizes delta..max_size (minus ``skip``) and then lexicographically.
 
-    Each size class charges cost(size) budget units per candidate before it
-    is scanned.  ``search`` names the scan in the inconclusive reason, and
-    ``note`` is appended to the refuted one.
+    A size class is charged before its scan, one unit per erasure pattern:
+    C(n-1, size-1) sets through i times C(size, delta-1) patterns each.
+    ``search`` names the scan in the inconclusive reason, and ``note`` is
+    appended to the refuted one.
     """
     work = 0
     sets: Dict[int, IndexSet] = {}
@@ -260,7 +253,7 @@ def scan_recovery_sets(n: int, r: int, delta: int, max_size: int,
         for size in range(delta, max_size + 1):
             if size in skip:
                 continue
-            work += comb(n - 1, size - 1) * cost(size)
+            work += comb(n - 1, size - 1) * comb(size, delta - 1)
             if work > budget:
                 return Verdict("inconclusive",
                                reason=f"budget {budget} exhausted during {search}")

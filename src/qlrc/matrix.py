@@ -234,6 +234,13 @@ def rank(M: Matrix) -> int:
     return len(rref(M)[1])
 
 
+@lru_cache(maxsize=1 << 17)
+def rank_of_columns(M: Matrix, cols: Tuple[int, ...]) -> int:
+    """Rank of the columns ``cols`` (0-based) of M, memoised per (M, cols):
+    the recoverability searches ask for the same column sets many times."""
+    return rank(M.submatrix_cols(cols))
+
+
 def row_space_canonical(M: Matrix) -> Matrix:
     """RREF with zero rows dropped: the unique representative of the row space."""
     R, pivots = rref(M)

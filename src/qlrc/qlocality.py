@@ -1,17 +1,26 @@
 """Quantum-side recoverability criteria for stabilizer codes.
 
 The stabilizer code attached to a symplectic self-orthogonal C inside
-GF(q)^(2n) corrects erasures at I exactly when the shortenings of C and of
-its symplectic dual at I coincide, and it is (I, J)-locally recoverable
-exactly when
+GF(q)^(2n) is (I, J)-locally recoverable exactly when
 
     sigma_I[ pi_J( C^perp_s ) ]  =  sigma_I( C ),
 
-where I is addressed by original coordinate labels and translated to
-positions inside J on the left-hand side.  The same shape of condition,
-with the Hermitian or Euclidean dual in place of the symplectic one, covers
-stabilizer codes built from self-orthogonal codes under those products, and
-a two-code version covers the CSS construction.
+with I addressed inside J on the left-hand side; J = [n] is erasure
+correction at I.  The same condition with the Hermitian or Euclidean dual
+covers stabilizer codes built from self-orthogonal codes under those
+products, and a two-code version covers the CSS construction.
+
+No punctured or shortened code is built: each check compares column ranks.
+For the pair small <= big (C and its dual, or a CSS block), a word of
+small supported inside I lies in big and survives puncturing at J, so
+sigma_I(small) <= sigma_I[pi_J(big)] and equal dimensions mean equal
+spaces.  The words supported inside a set are the kernel of the projection
+onto the other coordinates, so the check is
+
+    rank big[:, J] - rank big[:, J \\ I]  =  dim small - rank small[:, [n] \\ I],
+
+with the paired columns j and j + n on symplectic carriers.  The classical
+criterion sigma_I[pi_J(C)] = 0 is the case small = {0}.
 
 The (r, delta) verifier searches, per coordinate, for a set J of size at
 most r + delta - 1 such that the condition holds for every I inside J of
@@ -23,14 +32,10 @@ relative to the dual's minimum symplectic weight) is a standalone public
 predicate; the verifier does not call it.
 
 The exact distances are the size of the smallest uncorrectable erasure set
-S.  For codes A inside B, some word of B outside A is supported inside S
-exactly when sigma_S(A) != sigma_S(B); shortening is dual to puncturing,
-sigma_S(X)^perp = pi_S(X^perp), so that holds exactly when
-rank A^perp[:, S] > rank B^perp[:, S].  The stabilizer distance takes
-A = C and B = C^perp_s on paired columns, the CSS distance the two blocks
-(C2^perp_e, C1) and (C1^perp_e, C2).  The scan skips the rank of A^perp
-whenever B^perp[:, S] already has full column rank: A^perp[:, S] has |S|
-columns, so its rank cannot be larger.
+S, where sigma_S(A) != sigma_S(B) for some pair A <= B (C <= C^perp_s on
+paired columns, or the CSS blocks C2^perp_e <= C1 and C1^perp_e <= C2).
+As sigma_S(X)^perp = pi_S(X^perp), that is rank A^perp[:, S] > rank
+B^perp[:, S]; the scan skips A^perp when B^perp[:, S] has full rank |S|.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
-from math import ceil, comb
+from math import ceil
 from typing import Dict, Optional, Tuple, Union
 
 from .errors import (
@@ -60,8 +65,6 @@ from .code import (
     dual_euclidean,
     dual_hermitian,
     min_distance,
-    puncture,
-    shorten,
     weight_hierarchy,
 )
 from .locality import (
@@ -71,15 +74,14 @@ from .locality import (
     scan_recovery_sets,
     verify_rdelta_lrc,
 )
-from .matrix import rank
+from .matrix import Matrix, rank, rank_of_columns
 from .symp import (
     SymplecticCode,
     dual_symplectic,
     gsw,
     is_self_orthogonal,
     min_symplectic_weight,
-    puncture_paired,
-    shorten_paired,
+    paired_columns,
 )
 
 CssPair = Tuple[LinearCode, LinearCode]
@@ -115,6 +117,16 @@ def _require_self_orthogonal(C: Union[SymplecticCode, LinearCode], form: str) ->
         raise NotSelfOrthogonal(f"carrier is not {form} self-orthogonal")
 
 
+@lru_cache(maxsize=1 << 10)
+def _require_css_pair(C1: LinearCode, C2: LinearCode) -> None:
+    """Raise NotNested unless C1 and C2 share field and length and
+    C2^perp_e lies inside C1.  Memoised; a call that raises is not."""
+    if C1.field != C2.field or C1.n != C2.n:
+        raise NotNested("pair must share field and length")
+    if not C1.contains_code(dual_euclidean(C2)):
+        raise NotNested("need C2^perp_e inside C1")
+
+
 def _check_nesting(n: int, I: IndexSet, J: IndexSet) -> None:
     if not I.members:
         raise EmptyIndexSet("I must be nonempty")
@@ -128,14 +140,18 @@ def _check_nesting(n: int, I: IndexSet, J: IndexSet) -> None:
 # erasure correction and (I, J) criteria
 # ---------------------------------------------------------------------------
 
-def _ij_condition(big, small, I: IndexSet, J: IndexSet, puncture, shorten) -> bool:
-    """sigma_I[pi_J(big)] = sigma_I(small), with I re-indexed inside J.
+def _ij_condition(big: Matrix, small: Matrix, I: IndexSet, J: IndexSet, paired: bool) -> bool:
+    """sigma_I[pi_J(big)] = sigma_I(small) for generators of codes small <= big,
+    by the module docstring's rank identity; ``paired`` for qudit positions."""
+    n, inside = I.n, set(I.members)
 
-    ``puncture`` and ``shorten`` are the pair acting on the codes' coordinates
-    (plain for linear codes, paired for symplectic ones).
-    """
-    left = shorten(puncture(big, J), I.relative_to(J))
-    return left.gen == shorten(small, I).gen
+    def columns(members) -> Tuple[int, ...]:
+        cols = tuple(j - 1 for j in members)
+        return paired_columns(n, cols) if paired else cols
+
+    left = (rank_of_columns(big, columns(J.members))
+            - rank_of_columns(big, columns(j for j in J.members if j not in inside)))
+    return left == small.rows - rank_of_columns(small, columns(I.complement().members))
 
 
 def corrects_erasures_at(C: SymplecticCode, I: IndexSet) -> bool:
@@ -145,16 +161,16 @@ def corrects_erasures_at(C: SymplecticCode, I: IndexSet) -> bool:
 
 
 def ij_recoverable(C: SymplecticCode, I: IndexSet, J: IndexSet) -> bool:
-    """sigma_I[pi_J(C^perp_s)] = sigma_I(C), with I re-indexed inside J."""
+    """sigma_I[pi_J(C^perp_s)] = sigma_I(C), with I addressed inside J."""
     _require_self_orthogonal(C, "symplectic")
     _check_nesting(C.n, I, J)
-    return _ij_condition(dual_symplectic(C), C, I, J, puncture_paired, shorten_paired)
+    return _ij_condition(dual_symplectic(C).gen, C.gen, I, J, True)
 
 
 def _ij_recoverable_linear(C: LinearCode, I: IndexSet, J: IndexSet, form: str) -> bool:
     _require_self_orthogonal(C, form)
     _check_nesting(C.n, I, J)
-    return _ij_condition(_dual_for_form(C, form), C, I, J, puncture, shorten)
+    return _ij_condition(_dual_for_form(C, form).gen, C.gen, I, J, False)
 
 
 def ij_recoverable_hermitian(C: LinearCode, I: IndexSet, J: IndexSet) -> bool:
@@ -179,15 +195,10 @@ def ij_recoverable_css(C1: LinearCode, C2: LinearCode, I: IndexSet, J: IndexSet)
 
     which is the symplectic criterion evaluated blockwise.
     """
-    if C1.field != C2.field or C1.n != C2.n:
-        raise NotNested("pair must share field and length")
-    d2 = dual_euclidean(C2)
-    if not C1.contains_code(d2):
-        raise NotNested("need C2^perp_e inside C1")
+    _require_css_pair(C1, C2)
     _check_nesting(C1.n, I, J)
-    d1 = dual_euclidean(C1)
-    return (_ij_condition(C1, d2, I, J, puncture, shorten)
-            and _ij_condition(C2, d1, I, J, puncture, shorten))
+    return (_ij_condition(C1.gen, dual_euclidean(C2).gen, I, J, False)
+            and _ij_condition(C2.gen, dual_euclidean(C1).gen, I, J, False))
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +261,7 @@ def verify_quantum_rdelta_lrc(carrier: Union[SymplecticCode, LinearCode, CssPair
 
     if form == "css":
         C1, C2 = carrier
+        _require_css_pair(C1, C2)
         n = C1.n
         check = partial(ij_recoverable_css, C1, C2)
     elif form in FORMS:
@@ -300,9 +312,8 @@ def verify_quantum_rdelta_lrc(carrier: Union[SymplecticCode, LinearCode, CssPair
             ok = seen[J.members] = _ij_all_subsets_ok(check, n, J, delta)
         return ok
 
-    return scan_recovery_sets(n, r, delta, max_size, qualifies,
-                              lambda size: comb(size, delta - 1) * (2 * size) ** 2,
-                              budget, "set search", blocked_sizes, note)
+    return scan_recovery_sets(n, r, delta, max_size, qualifies, budget, "set search",
+                              blocked_sizes, note)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +418,7 @@ def ij_recoverable_via_bridge(C: LinearCode, form: str, I: IndexSet, J: IndexSet
 def classical_erasure_criterion(C: LinearCode, I: IndexSet, J: IndexSet) -> bool:
     """Erasures at I correctable from J \\ I iff sigma_I[pi_J(C)] = {0}."""
     _check_nesting(C.n, I, J)
-    return shorten(puncture(C, J), I.relative_to(J)).k == 0
+    return _ij_condition(C.gen, Matrix.empty(C.field, C.n), I, J, False)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +446,7 @@ def _first_uncorrectable_size(n: int, pairs, paired: bool, budget: int) -> int:
     ``paired`` takes the columns S and S + n.  Charges C(n, w) per size w.
     """
     def uncorrectable(S: IndexSet) -> int:
-        cols = S.positions()
-        if paired:
-            cols += tuple(j + n for j in cols)
+        cols = paired_columns(n, S.positions()) if paired else S.positions()
         for big, small in pairs:
             r = rank(small.submatrix_cols(cols))
             # rank big[:, cols] <= len(cols), so a full-rank small side ties
@@ -464,12 +473,10 @@ def css_distance(C1: LinearCode, C2: LinearCode, budget: int = DEFAULT_BUDGET) -
     Scans supports by increasing size with one rank comparison per side, so
     it stays feasible when q^k is far out of reach.
     """
-    d2 = dual_euclidean(C2)
-    if not C1.contains_code(d2):
-        raise NotNested("need C2^perp_e inside C1")
+    _require_css_pair(C1, C2)
     if C1.k + C2.k == C1.n:
         raise BadParameters("difference sets empty (k = 0)")
-    pairs = [(C1.gen, d2.gen)]
+    pairs = [(C1.gen, dual_euclidean(C2).gen)]
     if C2 != C1:
         pairs.append((C2.gen, dual_euclidean(C1).gen))
     return _first_uncorrectable_size(C1.n, pairs, False, budget)

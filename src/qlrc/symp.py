@@ -6,10 +6,13 @@ the a-block and columns n+1..2n the b-block, and the form is
     (a|b) *s (c|d)  =  a . d  -  b . c.
 
 Puncturing and shortening act on qudit positions, i.e. on (a_j, b_j) pairs:
-both blocks keep the same position set simultaneously.  The symplectic
-weight counts positions where the pair is nonzero, and the generalized
-symplectic weights are computed from shortenings exactly as defined
-(gsw_t = min |J| with dim sigma_J >= t), not from puncturings.
+both blocks keep the same position set simultaneously (for 0-based
+positions P, the columns P and P + n).  The symplectic weight counts
+positions where the pair is nonzero.  The generalized symplectic weights
+follow the shortening definition (gsw_t = min |J| with dim sigma_J >= t),
+not the puncturing one, without building a shortened code: the words of C
+supported inside J are the kernel of the projection onto the paired
+complement, so dim sigma_J(C) = dim C - rank C[:, paired complement of J].
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .code import (
     weight_hierarchy,
 )
 from .gf import Field
-from .matrix import Matrix, dot, row_space_canonical
+from .matrix import Matrix, dot, rank_of_columns, row_space_canonical
 
 
 @dataclass(frozen=True)
@@ -126,16 +129,18 @@ def is_self_orthogonal(code, form: str) -> bool:
 # paired puncture / shorten
 # ---------------------------------------------------------------------------
 
+def paired_columns(n: int, positions: Sequence[int]) -> Tuple[int, ...]:
+    """The a-block and b-block columns of 0-based qudit ``positions``."""
+    return tuple(positions) + tuple(j + n for j in positions)
+
+
 def _paired_positions(C: SymplecticCode, J: IndexSet) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     if not J.members:
         raise EmptyIndexSet("paired operation needs a nonempty position set")
     if J.n != C.n:
         raise DimensionMismatch(f"index set over 1..{J.n}, code has n={C.n}")
-    inside = tuple(j - 1 for j in J.members)
-    cols = inside + tuple(j + C.n for j in inside)
-    comp = tuple(j - 1 for j in J.complement().members)
-    out_cols = comp + tuple(j + C.n for j in comp)
-    return cols, out_cols
+    return (paired_columns(C.n, J.positions()),
+            paired_columns(C.n, J.complement().positions()))
 
 
 @lru_cache(maxsize=1 << 17)
@@ -166,12 +171,6 @@ def symplectic_weight(x: Sequence[int]) -> int:
         raise DimensionMismatch("symplectic vectors have even length")
     n = len(x) // 2
     return sum(1 for j in range(n) if x[j] or x[n + j])
-
-
-def pair_support(x: Sequence[int]) -> Tuple[int, ...]:
-    """1-based qudit positions where the (a, b) pair is nonzero."""
-    n = len(x) // 2
-    return tuple(j + 1 for j in range(n) if x[j] or x[n + j])
 
 
 @lru_cache(maxsize=1 << 17)
@@ -212,7 +211,9 @@ def gsw_hierarchy(C: SymplecticCode, t_max: int, budget: int = DEFAULT_BUDGET) -
     """(gsw_1, ..., gsw_t_max), scanning position sets by increasing size."""
     if not 1 <= t_max <= C.dim:
         raise TOutOfRange(f"t_max={t_max} outside 1..{C.dim}")
-    return weight_hierarchy(C.n, lambda J: shorten_paired(C, J).gen.rows, t_max, budget)
+    return weight_hierarchy(
+        C.n, lambda J: C.dim - rank_of_columns(
+            C.gen, paired_columns(C.n, J.complement().positions())), t_max, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ import pytest
 from qlrc.gf import GF
 from qlrc.code import LinearCode, dual_euclidean
 from qlrc.constructions import hamming_code, steane_symplectic
-from qlrc.matrix import Matrix
+from qlrc.matrix import Matrix, dot, kernel, row_space_canonical
 from qlrc.symp import SymplecticCode, dual_symplectic
-from qlrc.matrix import dot
 
 
 @pytest.fixture(scope="session")
@@ -77,3 +76,26 @@ def random_dual_containing(rng: random.Random, field, n: int) -> LinearCode:
     """A code C with C^perp_e inside C (dual of a random self-orthogonal code)."""
     D = random_euclidean_selforth(rng, field, n, rng.randrange(0, n // 2 + 1))
     return dual_euclidean(D)
+
+
+# Reference puncturing and shortening on generator matrices, kept apart from
+# the library's column-rank predicates so that each checks the other.
+
+def qudit_columns(n: int, members, paired: bool) -> list:
+    """0-based columns of 1-based positions; a qudit j is columns j and j + n."""
+    cols = [j - 1 for j in members]
+    return cols + [j - 1 + n for j in members] if paired else cols
+
+
+def reference_puncture(gen: Matrix, keep) -> Matrix:
+    """Canonical generator of the projection onto the ``keep`` columns."""
+    return row_space_canonical(gen.submatrix_cols(keep))
+
+
+def reference_shorten(gen: Matrix, keep, drop) -> Matrix:
+    """Canonical generator of the words vanishing on ``drop``, projected onto
+    ``keep``: the row combinations in the kernel of the ``drop`` block."""
+    if gen.rows == 0 or not drop:
+        return reference_puncture(gen, keep)
+    combos = kernel(gen.submatrix_cols(drop).transpose())
+    return row_space_canonical(combos.mat_mul(gen.submatrix_cols(keep)))

@@ -147,6 +147,17 @@ def test_verify_css_form_with_pair(tmp_path, capsys):
     assert run("verify", str(ham), "--mode", "quantum", "--form", "css",
                "-r", "2", "-d", "2") == 1
     capsys.readouterr()
+    # the pair must be a classical code nested with the first: an input error
+    steane = tmp_path / "steane.code"
+    run("construct", "steane", "-o", str(steane))
+    rep7 = tmp_path / "rep7.code"
+    rep7.write_text("q=2 p=2 m=1 poly=2\nn=7 k=1\n1 1 1 1 1 1 1\n")
+    capsys.readouterr()
+    for pair, message in ((steane, "css form needs classical code files"),
+                          (rep7, "need C2^perp_e inside C1")):
+        assert run("verify", str(ham), "--mode", "quantum", "--form", "css",
+                   "--pair", str(pair), "-r", "1", "-d", "9") == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_verify_with_certificate_file(tmp_path, capsys):

@@ -222,14 +222,13 @@ def test_min_distance_memo_keeps_the_budget(hamming74):
             min_distance(hamming74, "auto", budget=8)
 
 
-def reference_min_weight_dependency(C, budget=DEFAULT_BUDGET, max_w=None):
+def reference_min_weight_dependency(C, budget=DEFAULT_BUDGET):
     """The subset-by-subset scan: one kernel per column subset."""
     if C.k == 0:
         raise ZeroCode("zero code has no minimum weight")
     H = dual_euclidean(C).gen
     n = C.n
-    top = max_w if max_w is not None else n
-    for w in range(1, top + 1):
+    for w in range(1, n + 1):
         if comb(n, w) > budget:
             raise BudgetExceeded(f"C({n},{w}) supports exceed budget {budget}")
         for cols in combinations(range(n), w):
@@ -257,8 +256,8 @@ SCAN_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4), (
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(SCAN_FIELDS), st.data())
 def test_dependency_scan_matches_subset_reference(pm, data):
-    """Same (d, witness), ZeroCode past max_w and BudgetExceeded text as the
-    subset-by-subset scan, on random codes with repeated and zero columns."""
+    """Same (d, witness) and BudgetExceeded text as the subset-by-subset
+    scan, on random codes with repeated and zero columns."""
     F = GF(*pm)
     n = data.draw(st.integers(1, 9))
     k = data.draw(st.integers(1, n))
@@ -274,9 +273,8 @@ def test_dependency_scan_matches_subset_reference(pm, data):
     if C.k == 0:
         return
     budget = data.draw(st.sampled_from([1, 4, 10, 40, DEFAULT_BUDGET]))
-    max_w = data.draw(st.one_of(st.none(), st.integers(1, n)))
-    assert (_outcome(min_weight_dependency, C, budget, max_w)
-            == _outcome(reference_min_weight_dependency, C, budget, max_w))
+    assert (_outcome(min_weight_dependency, C, budget)
+            == _outcome(reference_min_weight_dependency, C, budget))
 
 
 def test_dependency_scan_edge_codes():
@@ -287,9 +285,7 @@ def test_dependency_scan_edge_codes():
         assert min_weight_dependency(full) == reference_min_weight_dependency(full) \
             == (1, (1, 0, 0, 0))
         rep = LinearCode.from_rows(F, [[1, 1, 1, 1, 1]])
-        for max_w in (None, 4, 5):
-            assert (_outcome(min_weight_dependency, rep, DEFAULT_BUDGET, max_w)
-                    == _outcome(reference_min_weight_dependency, rep, DEFAULT_BUDGET, max_w))
-        assert _outcome(min_weight_dependency, rep, DEFAULT_BUDGET, 4)[0] == "ZeroCode"
-        assert _outcome(min_weight_dependency, rep, 9, None) == (
+        assert (_outcome(min_weight_dependency, rep, DEFAULT_BUDGET)
+                == _outcome(reference_min_weight_dependency, rep, DEFAULT_BUDGET))
+        assert _outcome(min_weight_dependency, rep, 9) == (
             "BudgetExceeded", "C(5,2) supports exceed budget 9")

@@ -4,10 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlrc.errors import BadParameters, IndexInR, IndexNotInJ
 from qlrc.gf import GF
-from qlrc.code import IndexSet, LinearCode, dual_euclidean, puncture
+from qlrc.code import IndexSet, LinearCode, dual_euclidean, min_distance, puncture
 from qlrc.locality import (
     LocalityCertificate,
     classical_singleton,
@@ -165,7 +167,7 @@ def test_delta2_certificates_equal_the_plain_scan():
         fast = verify_rdelta_lrc(C, r, 2)
         plain = scan_recovery_sets(n, r, 2, min(r + 1, n),
                                    lambda J: punctured_distance_at_least(C, J, 2),
-                                   lambda size: 1, 1 << 26, "subset search")
+                                   1 << 26, "subset search")
         assert (fast.status, fast.certificate) == (plain.status, plain.certificate), \
             (F, C.gen.data, r)
         table_runs += all(any(C.gen.column(j)) for j in range(n))
@@ -218,3 +220,22 @@ def test_ghw_locality_filter_examples(hamming74, simplex73):
     assert ghw_locality_filter(simplex73, 2, 2) is True      # w1(dual) = 3
     with pytest.raises(BadParameters):
         ghw_locality_filter(hamming74, 2, 9)
+
+
+@given(st.sampled_from([GF(2), GF(3), GF(2, 2), GF(5)]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_punctured_distance_matches_the_puncturing_reference(F, data):
+    """The rank test equals d(pi_J(C)) >= delta on the punctured code, for
+    delta = 2, 3, 4, on random codes with zero coordinates."""
+    n = data.draw(st.integers(1, 6))
+    rows = [[data.draw(st.integers(0, F.q - 1)) for _ in range(n)]
+            for _ in range(data.draw(st.integers(0, n)))]
+    for j in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        rows = [r[:j] + [0] + r[j + 1:] for r in rows]         # a zero column
+    C = LinearCode.from_rows(F, rows, n=n)
+    for _ in range(3):
+        J = IndexSet.of(n, data.draw(st.sets(st.integers(1, n), min_size=1)))
+        D = LinearCode.from_matrix(C.gen.submatrix_cols(J.positions()))   # pi_J(C)
+        for delta in (2, 3, 4):
+            expected = D.k > 0 and min_distance(D) >= delta
+            assert punctured_distance_at_least(C, J, delta) == expected, (C.gen.data, J, delta)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import comb
 from functools import partial
 
 import pytest
@@ -44,10 +45,18 @@ from qlrc.symp import (
     SymplecticCode,
     css_product,
     dual_symplectic,
+    is_self_orthogonal,
     max_isotropic_extension,
     symplectic_weight,
 )
-from conftest import random_linear_code, random_symplectic_selforth
+from qlrc.matrix import Matrix
+from conftest import (
+    qudit_columns,
+    random_linear_code,
+    random_symplectic_selforth,
+    reference_puncture,
+    reference_shorten,
+)
 
 
 def lagrangian(field, n):
@@ -313,11 +322,36 @@ def test_verify_quantum_guards(steane, hamming74):
         verify_quantum_rdelta_lrc(steane, "symplectic", 0, 2)
     with pytest.raises(NotSelfOrthogonal):
         verify_quantum_rdelta_lrc(hamming74, "euclidean", 2, 2)
+    # a CSS pair is checked before any verdict: C2^perp_e (even weight) is not
+    # inside C1, and the lengths differ, with or without a search or certificate
+    rep7 = LinearCode.from_rows(GF(2), [[1] * 7])
+    rep3 = LinearCode.from_rows(GF(2), [[1] * 3])
+    cert3 = LocalityCertificate.of(3, 1, 2, {i: IndexSet.of(3, [i]) for i in (1, 2, 3)})
+    for pair in ((hamming74, rep7), (hamming74, rep3)):
+        for r, delta, cert in ((1, 9, None), (6, 2, cert3), (6, 2, None)):
+            with pytest.raises(NotNested):
+                verify_quantum_rdelta_lrc(pair, "css", r, delta, certificate=cert)
 
 
 def test_verify_quantum_inconclusive_on_tiny_budget(steane):
     v = verify_quantum_rdelta_lrc(steane, "symplectic", 6, 2, budget=1)
     assert v.status == "inconclusive"
+
+
+def test_set_searches_charge_one_unit_per_erasure_pattern(hamming74):
+    """Both set searches charge C(n-1, s-1) C(s, delta-1) per size class s
+    scanned: a budget of exactly that total certifies, one unit less does not."""
+    def charge(n, delta, verdict):
+        return sum(comb(n - 1, s - 1) * comb(s, delta - 1)
+                   for _, J in verdict.certificate.sets for s in range(delta, len(J) + 1))
+
+    runs = [(lambda budget: verify_quantum_rdelta_lrc((hamming74, hamming74), "css", 6, 2,
+                                                      budget=budget), 2),
+            (lambda budget: verify_rdelta_lrc(hamming74, 5, 3, budget=budget), 3)]
+    for verify, delta in runs:
+        full = charge(7, delta, verify(1 << 26))
+        assert verify(full).certified
+        assert verify(full - 1).status == "inconclusive"
 
 
 def test_verify_hermitian_direct_on_stabilizer_side():
@@ -591,3 +625,89 @@ def test_css_distance_matches_enumeration(data):
             css_distance(C1, C2)
     else:
         assert css_distance(C1, C2) == expected
+
+
+# Reference (I, J) criterion as it is stated: puncture at J, re-index I
+# inside J, and compare the canonical shortenings.
+
+def _relative_to(I, J):
+    position = {j: pos + 1 for pos, j in enumerate(J.members)}
+    return IndexSet(len(J), tuple(position[i] for i in I.members))
+
+
+def _reference_sigma(gen, I, paired):
+    n = I.n
+    return reference_shorten(gen, qudit_columns(n, I.members, paired),
+                             qudit_columns(n, I.complement().members, paired))
+
+
+def reference_ij_condition(big, small, I, J, paired):
+    """sigma_I[pi_J(big)] == sigma_I(small) on generator matrices."""
+    punctured = reference_puncture(big, qudit_columns(I.n, J.members, paired))
+    return _reference_sigma(punctured, _relative_to(I, J), paired) == \
+        _reference_sigma(small, I, paired)
+
+
+def reference_ij(carrier, form, I, J):
+    if form == "css":
+        C1, C2 = carrier
+        return (reference_ij_condition(C1.gen, dual_euclidean(C2).gen, I, J, False)
+                and reference_ij_condition(C2.gen, dual_euclidean(C1).gen, I, J, False))
+    if form == "symplectic":
+        return reference_ij_condition(dual_symplectic(carrier).gen, carrier.gen, I, J, True)
+    dual = dual_hermitian(carrier) if form == "hermitian" else dual_euclidean(carrier)
+    return reference_ij_condition(dual.gen, carrier.gen, I, J, False)
+
+
+IJ_CHECKS = {
+    "symplectic": ij_recoverable,
+    "hermitian": ij_recoverable_hermitian,
+    "euclidean": ij_recoverable_euclidean,
+    "css": lambda pair, I, J: ij_recoverable_css(*pair, I, J),
+}
+
+
+def _draw_carrier(data, F, n, form):
+    """A ``form`` self-orthogonal carrier grown from drawn words of its current
+    dual, or a nested CSS pair."""
+    if form == "css":
+        C1 = LinearCode.from_rows(F, [_draw_vector(data, F, n)
+                                      for _ in range(data.draw(st.integers(0, n)))], n=n)
+        extra = [tuple(_draw_vector(data, F, n)) for _ in range(data.draw(st.integers(0, 2)))]
+        return C1, LinearCode.from_rows(F, dual_euclidean(C1).gen.data + tuple(extra), n=n)
+    if form == "symplectic":
+        C, dual_of = SymplecticCode.zero(F, n), dual_symplectic
+    else:
+        C = LinearCode.zero(F, n)
+        dual_of = dual_hermitian if form == "hermitian" else dual_euclidean
+    for _ in range(data.draw(st.integers(0, n))):
+        word = tuple(_draw_combination(data, dual_of(C)))
+        grown = type(C).from_rows(F, C.gen.data + (word,), n=n)
+        if is_self_orthogonal(grown, form):
+            C = grown
+    return C
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_rank_ij_criteria_match_the_shortening_reference(data):
+    """All four (I, J) criteria, and the classical one, against puncturing and
+    shortening: every I with |I| <= 2 strictly inside a drawn J and inside [n]."""
+    form = data.draw(st.sampled_from(sorted(IJ_CHECKS)))
+    F = FIELDS[4] if form == "hermitian" else FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))]
+    n = data.draw(st.integers(2, 6))
+    carrier = _draw_carrier(data, F, n, form)
+    drawn = data.draw(st.sets(st.integers(1, n), min_size=2, max_size=n))
+    classical = carrier[0] if form == "css" else carrier
+    for J in {IndexSet.of(n, drawn), IndexSet.full(n)}:
+        for size in (1, 2):
+            for members in itertools.combinations(J.members, size):
+                if size == len(J):
+                    continue
+                I = IndexSet(n, members)
+                assert IJ_CHECKS[form](carrier, I, J) == reference_ij(carrier, form, I, J), \
+                    (form, I, J)
+                if form != "symplectic":
+                    zero = Matrix.empty(F, n)
+                    assert classical_erasure_criterion(classical, I, J) == \
+                        reference_ij_condition(classical.gen, zero, I, J, False)

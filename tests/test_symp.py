@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from qlrc.errors import BudgetExceeded, FormMismatch, TOutOfRange, ZeroCode
 from qlrc.gf import GF
-from qlrc.code import IndexSet, LinearCode, dual_euclidean, dual_hermitian
+from qlrc.code import (
+    IndexSet,
+    LinearCode,
+    dual_euclidean,
+    dual_hermitian,
+    generalized_hamming_weights,
+    weight_hierarchy,
+)
 from qlrc.symp import (
     SymplecticCode,
     css_product,
@@ -23,7 +30,7 @@ from qlrc.symp import (
     symplectic_form,
     symplectic_weight,
 )
-from conftest import random_symplectic_selforth
+from conftest import qudit_columns, random_symplectic_selforth, reference_shorten
 
 
 def lagrangian(field, n):
@@ -238,3 +245,27 @@ def test_is_self_orthogonal_iff_inside_own_dual(data):
         C = LinearCode.from_rows(F, rows, n=n)
         dual = dual_hermitian(C) if form == "hermitian" else dual_euclidean(C)
     assert is_self_orthogonal(C, form) == dual.contains_code(C)
+
+
+@given(st.sampled_from([GF(2), GF(3), GF(2, 2), GF(5)]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_weight_hierarchies_match_the_shortening_reference(F, data):
+    """GHW and GSW from column ranks equal the scan over shortened codes."""
+    n = data.draw(st.integers(1, 6))
+    paired = data.draw(st.booleans())
+    rows = [[data.draw(st.integers(0, F.q - 1)) for _ in range(2 * n if paired else n)]
+            for _ in range(data.draw(st.integers(1, 4)))]
+    if paired:
+        C = SymplecticCode.from_rows(F, rows, n=n)
+        hierarchy = gsw_hierarchy
+    else:
+        C = LinearCode.from_rows(F, rows, n=n)
+        hierarchy = generalized_hamming_weights
+    if C.gen.rows == 0:
+        return
+
+    def shortened_dim(J):
+        return reference_shorten(C.gen, qudit_columns(n, J.members, paired),
+                                 qudit_columns(n, J.complement().members, paired)).rows
+
+    assert hierarchy(C, C.gen.rows) == weight_hierarchy(n, shortened_dim, C.gen.rows)
