@@ -363,13 +363,13 @@ def cmd_weights(args: argparse.Namespace) -> int:
         if not isinstance(code, SymplecticCode):
             raise ParseError("gsw needs a symplectic code file")
         C = dual_symplectic(code) if args.dual else code
-        t_max = args.t_max or C.dim
+        t_max = C.dim if args.t_max is None else args.t_max
         hier = gsw_hierarchy(C, t_max, args.budget)
     else:
         if not isinstance(code, LinearCode):
             raise ParseError("ghw needs a classical code file")
         C = dual_euclidean(code) if args.dual else code
-        t_max = args.t_max or C.k
+        t_max = C.k if args.t_max is None else args.t_max
         hier = generalized_hamming_weights(C, t_max, args.budget)
     label = f"{args.kind}{'(dual)' if args.dual else ''}"
     print(f"{label} hierarchy: {hier}")
@@ -382,10 +382,21 @@ def cmd_weights(args: argparse.Namespace) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="work-unit cap: one unit per codeword enumerated, subset "
-                         "scanned, or erasure-pattern check ((I, J) pair) of a set search")
+    sp.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                    help="work-unit cap (at least 1): one unit per codeword or "
+                         "information-set message enumerated, subset scanned, or "
+                         "erasure-pattern check ((I, J) pair) of a set search")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed echoed into reports (searches are deterministic)")
     sp.add_argument("--json", metavar="PATH", default=None,

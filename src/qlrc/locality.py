@@ -17,7 +17,9 @@ For delta = 2 the search is driven by low-weight dual codewords: a minimal
 recovery set containing i is exactly the support of a minimum-weight dual
 word that is nonzero at i (when the code has no identically-zero column),
 which keeps the certified sets identical to a plain increasing-size
-lexicographic subset scan while being feasible at length 49.
+lexicographic subset scan.  The dual words of weight <= r + 1 are listed by
+information sets (:func:`~qlrc.code.light_word_blocks`), not by enumerating
+all of the dual, so the table costs a few hundred messages at lengths 49 to 81.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Callable, Collection, Dict, Optional, Tuple
 
 from .errors import (
     BadParameters,
+    BudgetExceeded,
     IndexInR,
     IndexNotInJ,
     ParseError,
@@ -38,7 +41,7 @@ from .code import (
     IndexSet,
     LinearCode,
     dual_euclidean,
-    iter_codeword_blocks,
+    light_word_blocks,
 )
 from .matrix import rank_of_columns
 
@@ -165,26 +168,23 @@ def _has_zero_column(C: LinearCode) -> bool:
 def _dual_support_table(C: LinearCode, max_weight: int,
                         budget: int) -> Optional[Dict[int, Tuple[int, Tuple[int, ...]]]]:
     """For each coordinate i, the (weight, support) of the best dual word
-    through i with weight <= max_weight; None when enumeration is over budget.
+    through i with weight <= max_weight; None when finding the dual words of
+    weight <= max_weight (:func:`~qlrc.code.light_word_blocks`) is over budget.
 
     Best = smallest weight, ties broken by lexicographically smallest
     support, matching an increasing-size lexicographic subset scan.
     """
-    D = dual_euclidean(C)
-    if D.k == 0:
-        return {}
-    count = C.field.q ** D.k
-    if count > budget:
-        return None
     best: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-    for _, nonzero in iter_codeword_blocks(D):
-        wts = nonzero.sum(axis=1)
-        for idx in ((wts > 0) & (wts <= max_weight)).nonzero()[0]:
-            supp = tuple(int(j) + 1 for j in nonzero[idx].nonzero()[0])
-            for i in supp:
-                cur = best.get(i)
-                if cur is None or (len(supp), supp) < cur:
-                    best[i] = (len(supp), supp)
+    try:
+        for light in light_word_blocks(dual_euclidean(C), max_weight, budget):
+            for row in light != 0:
+                supp = tuple(int(j) + 1 for j in row.nonzero()[0])
+                for i in supp:
+                    cur = best.get(i)
+                    if cur is None or (len(supp), supp) < cur:
+                        best[i] = (len(supp), supp)
+    except BudgetExceeded:
+        return None
     return best
 
 
@@ -227,7 +227,7 @@ def verify_rdelta_lrc(C: LinearCode, r: int, delta: int,
                 sets[i] = IndexSet.of(C.n, hit[1])
             cert = LocalityCertificate.of(C.n, r, delta, sets)
             return Verdict("certified", cert)
-        # dual too large to enumerate; fall through to the subset scan
+        # too many dual messages; fall through to the subset scan
 
     return scan_recovery_sets(C.n, r, delta, max_size,
                               lambda J: punctured_distance_at_least(C, J, delta),

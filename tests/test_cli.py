@@ -204,7 +204,7 @@ def test_bad_input_exits_3_with_error_line(tmp_path, capsys, monkeypatch, inputs
 
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--mode", "quantum", "--form", "euclidean", "-r", "4", "-d", "2",
-      "--budget", "1000"], "C(25,3) supports exceed budget 1000"),
+      "--budget", "24"], "C(25,1) supports exceed budget 24"),
     (["verify", "-r", "4", "-d", "2", "--budget", "10"], "C(25,1) supports exceed budget 10"),
     (["weights", "--kind", "ghw", "--t-max", "2", "--budget", "10"],
      "C(25,1) subsets exceed budget 10"),
@@ -281,3 +281,47 @@ def test_quantum_verify_reads_the_certificate(tmp_path, capsys, path):
         assert data["via"] == path
     assert run(*argv, "--certificate", str(tmp_path / "wrong.json")) == 1
     assert "certified set for coordinate" in capsys.readouterr().out
+
+
+def test_t_max_zero_is_a_usage_error(tmp_path, capsys):
+    """--t-max 0 is out of range (exit 3), not "use the whole hierarchy"."""
+    steane_path = tmp_path / "steane.code"
+    ham_path = tmp_path / "ham.code"
+    run("construct", "steane", "-o", str(steane_path))
+    run("construct", "hamming:m=3,q=2", "-o", str(ham_path))
+    capsys.readouterr()
+    assert run("weights", str(ham_path), "--kind", "ghw", "--t-max", "0") == 3
+    assert capsys.readouterr().err == "error: t_max must be in 1..4\n"
+    assert run("weights", str(steane_path), "--kind", "gsw", "--t-max", "0") == 3
+    assert capsys.readouterr().err == "error: t_max=0 outside 1..6\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_non_positive_budget_is_a_usage_error(tmp_path, capsys, budget):
+    ham_path = str(tmp_path / "ham.code")
+    assert run("construct", "hamming:m=3,q=2", "-o", ham_path) == 0
+    capsys.readouterr()
+    assert run("verify", ham_path, "-r", "3", "-d", "2", "--budget", budget) == 3
+    assert f"argument --budget: must be at least 1, got {budget}" in capsys.readouterr().err
+    out = tmp_path / "s.code"
+    assert run("construct", "steane", "-o", str(out), "--budget", budget) == 3
+    assert f"argument --budget: must be at least 1, got {budget}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q, rect, r, k, singleton",
+                         [(8, "6,7", 7, 48, 66), (9, "7,8", 8, 63, 83)])
+def test_delta2_frontier_certified_via_the_bridge(tmp_path, capsys, q, rect, r, k, singleton):
+    """The GF(8) and GF(9) rectangle codes: d(C^perp) by information sets,
+    the (r, 2) table from the dual words of weight <= r + 1, both bounds attained."""
+    path = str(tmp_path / "f.code")
+    assert run("construct", f"affine:q={q},n1={q},n2={q},delta=rect:{rect}", "-o", path) == 0
+    capsys.readouterr()
+    assert run("verify", path, "--mode", "quantum", "--form", "euclidean",
+               "-r", str(r), "-d", "2") == 0
+    out = capsys.readouterr().out
+    assert f"quantum [[{q * q},{k},2]]_{q}" in out
+    assert f"verified via: bridge (dual distance {q})" in out
+    assert f"bound quantum-singleton: lhs={singleton} rhs={singleton} (attained)" in out
+    assert f"bound quantum-r-lrc: lhs={k} rhs={k} (attained)" in out
+    assert "verdict: certified" in out

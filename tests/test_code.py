@@ -5,7 +5,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlrc.errors import BudgetExceeded, EmptyIndexSet, NotAQuadraticExtension, ZeroCode
@@ -18,10 +18,13 @@ from qlrc.code import (
     dual_euclidean,
     dual_hermitian,
     generalized_hamming_weights,
+    information_sets,
     iter_codeword_blocks,
+    low_weight_words,
     min_distance,
     min_weight_dependency,
     min_weight_enumerate,
+    min_weight_infoset,
     puncture,
     shorten,
     support,
@@ -289,3 +292,116 @@ def test_dependency_scan_edge_codes():
                 == _outcome(reference_min_weight_dependency, rep, DEFAULT_BUDGET))
         assert _outcome(min_weight_dependency, rep, 9) == (
             "BudgetExceeded", "C(5,2) supports exceed budget 9")
+
+
+INFOSET_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)]
+
+
+def draw_code(data, F, max_n=9, max_words=4096):
+    """A random code with k >= 1 and q^k <= max_words; zero columns, k = 1
+    and k = n (the full space) are each drawn on purpose."""
+    n = data.draw(st.integers(1, max_n))
+    k_max = max(kk for kk in range(1, n + 1) if F.q ** kk <= max_words)
+    shape = data.draw(st.sampled_from(["random", "k=1", "k=n"]))
+    if shape == "k=n" and F.q ** n <= max_words:
+        return LinearCode.full(F, n)
+    k = 1 if shape == "k=1" else data.draw(st.integers(1, k_max))
+    entry = st.one_of(st.just(0), st.integers(0, F.q - 1))
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(k)]
+    for j in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        rows = [r[:j] + [0] + r[j + 1:] for r in rows]         # a zero column
+    C = LinearCode.from_rows(F, rows, n=n)
+    assume(C.k > 0)
+    return C
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(INFOSET_FIELDS), st.data())
+def test_infoset_distance_matches_enumerate_and_dependency(pm, data):
+    F = GF(*pm)
+    C = draw_code(data, F)
+    d = min_distance(C, "enumerate")
+    assert min_distance(C, "infoset") == d == min_distance(C, "dependency"), C.gen.data
+    assert min_distance(C, "auto") == d
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(INFOSET_FIELDS), st.data())
+def test_low_weight_words_match_filtered_enumeration(pm, data):
+    F = GF(*pm)
+    C = draw_code(data, F)
+    t = data.draw(st.integers(0, C.n))
+    expected = tuple(sorted(w for w in C.codewords() if 0 < weight(w) <= t))
+    assert low_weight_words(C, t) == expected, (C.gen.data, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(INFOSET_FIELDS), st.data())
+def test_information_sets_are_disjoint_and_systematic(pm, data):
+    """Each generator spans C, is the identity on its own pivots, and its
+    rows past r_j vanish on its pivots; the pivot sets are disjoint."""
+    F = GF(*pm)
+    C = draw_code(data, F)
+    used = set()
+    sets = information_sets(C)
+    assert sets and len(sets[0][1]) == C.k
+    for G, pivots in sets:
+        assert LinearCode.from_matrix(G) == C
+        for i, row in enumerate(G.data):
+            assert [row[j] for j in pivots] == [int(i == s) for s in range(len(pivots))]
+            if i >= len(pivots):   # past r_j, zero on every column not yet taken
+                assert not any(row[j] for j in range(C.n) if j not in used)
+        assert not used & set(pivots)
+        used |= set(pivots)
+    # the columns left over have rank 0: they are all zero
+    assert all(not any(C.gen.column(j)) for j in range(C.n) if j not in used)
+
+
+def test_partial_sets_enter_the_bound_only_once_enumerated():
+    """Codes whose leftover columns form a partial information set: a word
+    is lost if that set is counted in the bound but not enumerated, or is
+    counted as a full set."""
+    C = LinearCode.from_rows(GF(3), [[1, 0, 0, 0, 0, 2], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 1],
+                                     [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 2]])
+    assert [P for _, P in information_sets(C)] == [(0, 1, 2, 3, 4), (5,)]
+    # weight <= 5 needs level 4: bound 5 from the full set plus 1 from the partial one
+    assert low_weight_words(C, 5) == tuple(sorted(w for w in C.codewords() if 0 < weight(w) <= 5))
+    C = LinearCode.from_rows(GF(2, 2), [[1, 0, 0, 0, 0, 0, 2, 1, 3], [0, 1, 0, 0, 0, 0, 1, 0, 1],
+                                        [0, 0, 1, 0, 0, 0, 1, 3, 0], [0, 0, 0, 1, 0, 0, 3, 2, 1],
+                                        [0, 0, 0, 0, 1, 0, 2, 1, 1], [0, 0, 0, 0, 0, 1, 1, 2, 0]])
+    assert [len(P) for _, P in information_sets(C)] == [6, 3]
+    assert min_distance(C, "infoset") == min_distance(C, "enumerate")
+
+
+def test_infoset_budget_counts_messages():
+    """One unit per message of weight w with first nonzero coefficient 1."""
+    C = LinearCode.from_rows(GF(3), [[1, 0, 1, 1], [0, 1, 1, 2]])   # [4,2,3]_3, one set
+    assert [P for _, P in information_sets(C)] == [(0, 1), (2, 3)]
+    # level 1 on the first set is 2 messages, and it finds weight 3; the
+    # bound is then 2 + 1 = 3 (the second set has a nonzero coordinate)
+    assert min_weight_infoset(C, budget=2) == 3
+    with pytest.raises(BudgetExceeded, match="information-set enumeration of 2 messages "
+                                             "exceeds budget 1"):
+        min_weight_infoset(C, budget=1)
+    # weight <= 3 needs a bound of 4 = 2 (1 + 1): level 1 on both sets
+    assert low_weight_words(C, 3, budget=4) == tuple(sorted(
+        w for w in C.codewords() if any(w)))
+    with pytest.raises(BudgetExceeded, match="enumeration of 4 messages exceeds budget 3"):
+        low_weight_words(C, 3, budget=3)
+    assert low_weight_words(C, 2) == () and low_weight_words(LinearCode.zero(GF(3), 4), 4) == ()
+
+
+def test_auto_keeps_the_strategy_of_each_benchmark_shape():
+    """auto answers from the code's shape: the flagship dual [49,7]_7 by
+    information sets, [49,34]_7 and [12,9]_16 by the dependency scan."""
+    from qlrc.code import _auto_strategy
+    from qlrc.constructions import DeltaSet, GridSpec, affine_variety_code, grs_code
+
+    grid = GridSpec.build(GF(7), 7, 7)
+    flagship = affine_variety_code(grid, DeltaSet.rect(7, 7, 5, 6))
+    assert _auto_strategy(dual_euclidean(flagship), DEFAULT_BUDGET) == "infoset"
+    step2 = affine_variety_code(grid, DeltaSet.step2(7, 7, 4, 3))
+    assert (step2.n, step2.k) == (49, 34)
+    assert _auto_strategy(step2, DEFAULT_BUDGET) == "dependency"
+    assert _auto_strategy(grs_code(GF(2, 4), 12, 9), DEFAULT_BUDGET) == "dependency"
+    assert min_distance(dual_euclidean(flagship)) == 7

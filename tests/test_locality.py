@@ -4,14 +4,22 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlrc.errors import BadParameters, IndexInR, IndexNotInJ
 from qlrc.gf import GF
-from qlrc.code import IndexSet, LinearCode, dual_euclidean, min_distance, puncture
+from qlrc.code import (
+    IndexSet,
+    LinearCode,
+    dual_euclidean,
+    iter_codeword_blocks,
+    min_distance,
+    puncture,
+)
 from qlrc.locality import (
     LocalityCertificate,
+    _dual_support_table,
     classical_singleton,
     ghw_locality_filter,
     is_rdelta_recovery_set,
@@ -239,3 +247,48 @@ def test_punctured_distance_matches_the_puncturing_reference(F, data):
         for delta in (2, 3, 4):
             expected = D.k > 0 and min_distance(D) >= delta
             assert punctured_distance_at_least(C, J, delta) == expected, (C.gen.data, J, delta)
+
+
+def enumerated_support_table(C, max_weight):
+    """The delta = 2 table from every dual word: per coordinate, the
+    smallest (weight, support) of a dual word through it of weight <= max_weight."""
+    D = dual_euclidean(C)
+    best = {}
+    if D.k == 0:
+        return best
+    for _, nonzero in iter_codeword_blocks(D):
+        wts = nonzero.sum(axis=1)
+        for idx in ((wts > 0) & (wts <= max_weight)).nonzero()[0]:
+            supp = tuple(int(j) + 1 for j in nonzero[idx].nonzero()[0])
+            for i in supp:
+                if i not in best or (len(supp), supp) < best[i]:
+                    best[i] = (len(supp), supp)
+    return best
+
+
+@given(st.sampled_from([GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3)]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_dual_support_table_matches_the_enumerated_table(F, data):
+    """Low-weight dual words by information sets give the same table as
+    enumerating all of the dual, with zero columns, k = 1 and k = n."""
+    n = data.draw(st.integers(1, 9))
+    k_min = min(kk for kk in range(1, n + 1) if F.q ** (n - kk) <= 4096)
+    k = data.draw(st.sampled_from(sorted({k_min, n, data.draw(st.integers(k_min, n))})))
+    entry = st.one_of(st.just(0), st.integers(0, F.q - 1))
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(k)]
+    for j in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        rows = [r[:j] + [0] + r[j + 1:] for r in rows]         # a zero column
+    C = LinearCode.from_rows(F, rows, n=n)
+    assume(F.q ** (n - C.k) <= 4096)       # the dual is enumerated for reference
+    max_weight = data.draw(st.integers(1, n))
+    assert _dual_support_table(C, max_weight, 1 << 26) == enumerated_support_table(
+        C, max_weight), (C.gen.data, max_weight)
+
+
+def test_dual_support_table_enumerates_the_partial_information_sets():
+    """A [8,2]_4 dual with one full information set and three one-column
+    partial ones: its weight-2 words are found only on the partial sets."""
+    D = LinearCode.from_rows(GF(2, 2), [[1, 0, 0, 0, 1, 3, 1, 0], [0, 0, 1, 0, 3, 2, 3, 0]])
+    C = dual_euclidean(D)
+    assert dual_euclidean(C) == D
+    assert _dual_support_table(C, 2, 1 << 26) == enumerated_support_table(C, 2)
