@@ -32,7 +32,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Tuple
 
 from . import files
 from .errors import BudgetExceeded, ParseError, QlrcError
@@ -54,7 +54,7 @@ from .constructions import (
     hermitian_dc_grs_search,
     steane_symplectic,
 )
-from .gf import GF
+from .gf import GF, MAX_FIELD_SIZE, _prime_factors
 from .locality import classical_singleton, verify_rdelta_lrc
 from .qlocality import (
     _is_dual_containing,
@@ -178,43 +178,25 @@ def build_from_descriptor(desc: str, hermitian_dc: bool = False,
 
 
 def _prime_power(q: int) -> Tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            v = q
-            while v % p == 0:
-                v //= p
-                m += 1
-            if v != 1:
-                raise ParseError(f"q={q} is not a prime power")
-            return p, m
-    raise ParseError(f"q={q} is not a prime power")
-
-
-# ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
-
-def _emit(report: dict, json_path: Optional[str]) -> None:
-    if json_path:
-        Path(json_path).write_text(json.dumps(report, indent=2) + "\n",
-                                   encoding="utf-8")
-
-
-def _print_bounds(bounds) -> None:
-    for b in bounds:
-        star = "attained" if b.attained else "not attained"
-        print(f"  bound {b.name}: lhs={b.lhs} rhs={b.rhs} ({star})")
-
-
-def _verdict_exit(status: str) -> int:
-    return {"certified": EXIT_OK, "refuted": EXIT_REFUTED,
-            "inconclusive": EXIT_INCONCLUSIVE}[status]
+    if q > MAX_FIELD_SIZE:
+        raise ParseError(f"field size q={q} exceeds the supported limit {MAX_FIELD_SIZE}")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ParseError(f"q={q} is not a prime power")
+    p = factors[0]
+    return p, next(m for m in range(1, q.bit_length() + 1) if p ** m == q)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+def _emit(args: argparse.Namespace, report: dict) -> None:
+    """Write the report, stamped with the schema version, to ``--json``."""
+    if args.json:
+        Path(args.json).write_text(
+            json.dumps({"schema": SCHEMA_VERSION, **report}, indent=2) + "\n", encoding="utf-8")
+
 
 def cmd_construct(args: argparse.Namespace) -> int:
     code, claims = build_from_descriptor(args.descriptor, args.hermitian_dc, args.budget)
@@ -228,133 +210,117 @@ def cmd_construct(args: argparse.Namespace) -> int:
             print("stabilizer distance skipped (budget)")
     else:
         try:
-            d = min_distance(code, "auto", args.budget)
-            dtxt = str(d)
+            dtxt = str(min_distance(code, "auto", args.budget))
         except BudgetExceeded:
             dtxt = "?"
         print(f"wrote classical code: [{code.n},{code.k},{dtxt}]_{code.field.q} -> {args.out}")
     for key, val in claims.items():
         print(f"claimed {key}: {val}")
-    report = {"schema": SCHEMA_VERSION, "descriptor": args.descriptor,
-              "out": str(args.out), "claims": claims}
-    _emit(report, args.json)
+    _emit(args, {"descriptor": args.descriptor, "out": str(args.out), "claims": claims})
     return EXIT_OK
 
 
-def _quantum_verify_linear(C: LinearCode, form: str, args, cert) -> Tuple[dict, int]:
-    report: dict = {}
-    bounds = []
-    if _is_dual_containing(C, form):
-        # dual-containing input: the derived code has k = 2 dim C - n
-        res = bridge_classical_quantum(C, form, args.r, args.delta, args.budget, cert)
-        verdict = res.verdict
-        k_q = 2 * C.k - C.n
-        pur = purity_check(C, form, args.budget)
-        bounds.append(quantum_singleton((C.n, k_q, pur.d_code), args.r, args.delta))
-        # an (r, delta) code repairs one erasure from r + delta - 2 symbols
-        bounds.append(quantum_r_lrc_bound((C.n, k_q, pur.d_code),
-                                          args.r + args.delta - 2))
-        if not pur.pure:
-            label = "undefined (non-pure)"
-        elif verdict.certified and all(b.attained for b in bounds[:1]):
-            label = "optimal pure"
-        else:
-            label = "pure, bound not attained"
-        report.update({
-            "carrier": "dual-containing",
-            "via": res.via,
-            "quantum_k": k_q,
-            "purity": {"pure": pur.pure, "d_code": pur.d_code, "d_dual": pur.d_dual},
-            "optimality": label,
-        })
-        print(f"carrier: {form} dual-containing, quantum [[{C.n},{k_q},"
-              f"{'' if pur.pure else '>='}{pur.d_code}]]_"
-              f"{C.field.subfield_order if form == 'hermitian' else C.field.q}")
-        print(f"purity: d(C)={pur.d_code} <= d(dual)={pur.d_dual}: {pur.pure}")
-        print(f"verified via: {res.via} (dual distance {res.d_dual})")
-        print(f"optimality: {label}")
-    elif is_self_orthogonal(C, form):
+# Each verify step returns (verdict, bounds, report fields, header lines);
+# bounds is None when the step writes no "bounds" key (CSS).
+
+def _verify_classical(code, form, args, cert):
+    if not isinstance(code, LinearCode):
+        raise ParseError("classical verification needs a classical code file")
+    verdict = verify_rdelta_lrc(code, args.r, args.delta, cert, args.budget)
+    d = min_distance(code, "auto", args.budget)
+    bounds = [classical_singleton((code.n, code.k, d), args.r, args.delta)]
+    return verdict, bounds, {}, [f"classical [{code.n},{code.k},{d}]_{code.field.q}"]
+
+
+def _verify_symplectic(code, form, args, cert):
+    if not isinstance(code, SymplecticCode):
+        raise ParseError("symplectic form needs a symplectic code file")
+    verdict = verify_quantum_rdelta_lrc(code, form, args.r, args.delta, cert, args.budget)
+    k_q = code.n - code.dim
+    try:
+        d_q = stabilizer_distance_symplectic(code, args.budget)
+    except BudgetExceeded:
+        return verdict, [], {}, [f"stabilizer code [[{code.n},{k_q},?]]_{code.field.q} "
+                                 "(distance skipped: budget)"]
+    bounds = [quantum_r_lrc_bound((code.n, k_q, d_q), args.r + args.delta - 2)]
+    return verdict, bounds, {}, [f"stabilizer code [[{code.n},{k_q},{d_q}]]_{code.field.q}"]
+
+
+def _verify_css(code, form, args, cert):
+    if not isinstance(code, LinearCode):
+        raise ParseError("css form needs classical code files")
+    other = files.load_code(args.pair) if args.pair else code
+    if not isinstance(other, LinearCode):
+        raise ParseError("css form needs classical code files")
+    verdict = verify_quantum_rdelta_lrc((code, other), form, args.r, args.delta, cert, args.budget)
+    return verdict, None, {}, []
+
+
+def _verify_linear(C, form, args, cert):
+    """Hermitian or Euclidean: the bridge for a dual-containing code, the
+    direct search for a self-orthogonal one."""
+    if not isinstance(C, LinearCode):
+        raise ParseError(f"{form} form needs a classical code file")
+    if not _is_dual_containing(C, form):
+        if not is_self_orthogonal(C, form):
+            raise QlrcError(f"code is neither {form} dual-containing nor self-orthogonal")
         verdict = verify_quantum_rdelta_lrc(C, form, args.r, args.delta, cert, args.budget)
         k_q = C.n - 2 * C.k
-        report.update({"carrier": "self-orthogonal", "quantum_k": k_q})
-        print(f"carrier: {form} self-orthogonal stabilizer side, "
-              f"quantum k = {k_q}")
+        return verdict, [], {"carrier": "self-orthogonal", "quantum_k": k_q}, [
+            f"carrier: {form} self-orthogonal stabilizer side, quantum k = {k_q}"]
+    # dual-containing input: the derived code has k = 2 dim C - n
+    res = bridge_classical_quantum(C, form, args.r, args.delta, args.budget, cert)
+    k_q = 2 * C.k - C.n
+    pur = purity_check(C, form, args.budget)
+    bounds = [quantum_singleton((C.n, k_q, pur.d_code), args.r, args.delta),
+              # an (r, delta) code repairs one erasure from r + delta - 2 symbols
+              quantum_r_lrc_bound((C.n, k_q, pur.d_code), args.r + args.delta - 2)]
+    if not pur.pure:
+        label = "undefined (non-pure)"
+    elif res.verdict.certified and bounds[0].attained:
+        label = "optimal pure"
     else:
-        raise QlrcError(f"code is neither {form} dual-containing nor self-orthogonal")
-    report["bounds"] = [b.to_json() for b in bounds]
-    _print_bounds(bounds)
-    return report, _finish_verdict(report, verdict)
+        label = "pure, bound not attained"
+    q = C.field.subfield_order if form == "hermitian" else C.field.q
+    header = [f"carrier: {form} dual-containing, quantum "
+              f"[[{C.n},{k_q},{'' if pur.pure else '>='}{pur.d_code}]]_{q}",
+              f"purity: d(C)={pur.d_code} <= d(dual)={pur.d_dual}: {pur.pure}",
+              f"verified via: {res.via} (dual distance {res.d_dual})",
+              f"optimality: {label}"]
+    return res.verdict, bounds, {
+        "carrier": "dual-containing", "via": res.via, "quantum_k": k_q,
+        "purity": {"pure": pur.pure, "d_code": pur.d_code, "d_dual": pur.d_dual},
+        "optimality": label}, header
 
 
-def _finish_verdict(report: dict, verdict) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
+    code = files.load_code(args.code)
+    cert = files.load_certificate(args.certificate, code.n) if args.certificate else None
+    form = args.form
+    if args.mode == "classical":
+        step = _verify_classical
+    else:
+        form = form or ("symplectic" if isinstance(code, SymplecticCode) else "euclidean")
+        step = {"symplectic": _verify_symplectic, "css": _verify_css}.get(form, _verify_linear)
+    verdict, bounds, fields, header = step(code, form, args, cert)
+    report = {"mode": args.mode, "form": form, "r": args.r, "delta": args.delta,
+              "seed": args.seed, **fields}
+    for line in header:
+        print(line)
+    if bounds is not None:
+        report["bounds"] = [b.to_json() for b in bounds]
+        for b in bounds:
+            print(f"  bound {b.name}: lhs={b.lhs} rhs={b.rhs} "
+                  f"({'attained' if b.attained else 'not attained'})")
     report["verdict"] = verdict.status
     if verdict.certificate is not None:
         report["certificate"] = verdict.certificate.to_json()
     if verdict.reason:
         report["reason"] = verdict.reason
     print(f"verdict: {verdict.status}" + (f" ({verdict.reason})" if verdict.reason else ""))
-    return _verdict_exit(verdict.status)
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    code = files.load_code(args.code)
-    cert = files.load_certificate(args.certificate, code.n) if args.certificate else None
-    report = {"schema": SCHEMA_VERSION, "mode": args.mode, "form": args.form,
-              "r": args.r, "delta": args.delta, "seed": args.seed}
-
-    if args.mode == "classical":
-        if not isinstance(code, LinearCode):
-            raise ParseError("classical verification needs a classical code file")
-        verdict = verify_rdelta_lrc(code, args.r, args.delta, cert, args.budget)
-        d = min_distance(code, "auto", args.budget)
-        bounds = [classical_singleton((code.n, code.k, d), args.r, args.delta)]
-        report["bounds"] = [b.to_json() for b in bounds]
-        print(f"classical [{code.n},{code.k},{d}]_{code.field.q}")
-        _print_bounds(bounds)
-        rc = _finish_verdict(report, verdict)
-        _emit(report, args.json)
-        return rc
-
-    # quantum mode
-    form = args.form or ("symplectic" if isinstance(code, SymplecticCode) else "euclidean")
-    report["form"] = form
-    if form == "symplectic":
-        if not isinstance(code, SymplecticCode):
-            raise ParseError("symplectic form needs a symplectic code file")
-        verdict = verify_quantum_rdelta_lrc(code, "symplectic", args.r, args.delta,
-                                            cert, args.budget)
-        k_q = code.n - code.dim
-        bounds = []
-        try:
-            d_q = stabilizer_distance_symplectic(code, args.budget)
-            bounds.append(quantum_r_lrc_bound((code.n, k_q, d_q),
-                                              args.r + args.delta - 2))
-            print(f"stabilizer code [[{code.n},{k_q},{d_q}]]_{code.field.q}")
-        except BudgetExceeded:
-            print(f"stabilizer code [[{code.n},{k_q},?]]_{code.field.q} "
-                  "(distance skipped: budget)")
-        report["bounds"] = [b.to_json() for b in bounds]
-        _print_bounds(bounds)
-        rc = _finish_verdict(report, verdict)
-        _emit(report, args.json)
-        return rc
-    if form == "css":
-        if not isinstance(code, LinearCode):
-            raise ParseError("css form needs classical code files")
-        other = files.load_code(args.pair) if args.pair else code
-        if not isinstance(other, LinearCode):
-            raise ParseError("css form needs classical code files")
-        verdict = verify_quantum_rdelta_lrc((code, other), "css", args.r, args.delta,
-                                            cert, args.budget)
-        rc = _finish_verdict(report, verdict)
-        _emit(report, args.json)
-        return rc
-    if not isinstance(code, LinearCode):
-        raise ParseError(f"{form} form needs a classical code file")
-    sub_report, rc = _quantum_verify_linear(code, form, args, cert)
-    report.update(sub_report)
-    _emit(report, args.json)
-    return rc
+    _emit(args, report)
+    return {"certified": EXIT_OK, "refuted": EXIT_REFUTED,
+            "inconclusive": EXIT_INCONCLUSIVE}[verdict.status]
 
 
 def cmd_weights(args: argparse.Namespace) -> int:
@@ -373,8 +339,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
         hier = generalized_hamming_weights(C, t_max, args.budget)
     label = f"{args.kind}{'(dual)' if args.dual else ''}"
     print(f"{label} hierarchy: {hier}")
-    _emit({"schema": SCHEMA_VERSION, "kind": args.kind, "dual": args.dual,
-           "hierarchy": list(hier)}, args.json)
+    _emit(args, {"kind": args.kind, "dual": args.dual, "hierarchy": list(hier)})
     return EXIT_OK
 
 

@@ -420,14 +420,6 @@ def information_sets(C: LinearCode) -> Tuple[Tuple[Matrix, Tuple[int, ...]], ...
     return tuple(out)
 
 
-def _infoset_bound(k: int, ranks: Sequence[int], done: Sequence[int]) -> int:
-    """Lower bound on the weight of every codeword not yet found, after the
-    messages of weight <= done[j] were enumerated on set j: a missed word
-    has message weight > done[j] there, so at least done[j] + 1 - (k - r_j)
-    nonzero coordinates on P_j (Grassl's partial-rank bound)."""
-    return sum(max(0, w + 1 - (k - r)) for w, r in zip(done, ranks))
-
-
 def _messages(k: int, q: int, i: int) -> int:
     """Messages of weight i with first nonzero coefficient 1."""
     return comb(k, i) * (q - 1) ** (i - 1)
@@ -470,65 +462,65 @@ def _message_words(G: Matrix, i: int):
         yield acc.reshape(-1, G.cols)
 
 
-def min_weight_infoset(C: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum weight by Brouwer-Zimmermann information-set enumeration.
+def _infoset_words(C: LinearCode, sets, stop: Callable[[int], bool], budget: int):
+    """Yield arrays of codewords, one message weight on one set at a time.
 
-    Level w enumerates the messages of weight w on every set of
-    :func:`information_sets` (a partial set joins once it can raise the
-    bound), and the search stops as soon as the lower bound of
-    :func:`_infoset_bound` reaches the lightest word found.  One budget unit
-    per message (scalar multiples are skipped: they have the same weight).
+    Level w = 1, 2, ... enumerates the messages of weight w on every set of
+    ``sets`` (a partial set joins, with its lower weights, once it can raise
+    the bound).  When the messages of weight <= done[j] on set j are done, a
+    word not yet found has at least done[j] + 1 - (k - r_j) nonzero
+    coordinates on P_j (Grassl's partial-rank bound).  Before each weight
+    the walk ends if ``stop`` holds for the sum of these bounds.  One budget
+    unit per message, charged per weight.
     """
-    if C.k == 0:
-        raise ZeroCode("zero code has no minimum weight")
-    sets = information_sets(C)
     k, q = C.k, C.field.q
     ranks = [len(P) for _, P in sets]
     done = [0] * len(sets)
-    best, spent = C.n + 1, 0
+    spent = 0
     for w in range(1, k + 1):
-        for j, (G, P) in enumerate(sets):
-            if w + 1 - (k - len(P)) <= 0:
+        for j, (G, _) in enumerate(sets):
+            if w + 1 - (k - ranks[j]) <= 0:
                 continue
             for i in range(done[j] + 1, w + 1):
+                if stop(sum(max(0, d + 1 - (k - r)) for d, r in zip(done, ranks))):
+                    return
                 spent += _messages(k, q, i)
                 if spent > budget:
                     raise BudgetExceeded(
                         f"information-set enumeration of {spent} messages exceeds budget {budget}")
-                for words in _message_words(G, i):
-                    best = min(best, int((words != 0).sum(axis=1).min()))
-            done[j] = w
-            # all messages of one set are all codewords
-            if w == k or _infoset_bound(k, ranks, done) >= best:
-                return best
-    raise AssertionError("unreachable: level k enumerates every codeword")  # pragma: no cover
+                yield from _message_words(G, i)
+                done[j] = i
+
+
+def min_weight_infoset(C: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
+    """Minimum weight by Brouwer-Zimmermann enumeration on the sets of
+    :func:`information_sets`, until the lower bound reaches the lightest
+    word found; it does by level max(1, k - 1), from where on it is at least
+    the number of nonzero columns.  One budget unit per message (scalar
+    multiples are skipped: they have the same weight)."""
+    if C.k == 0:
+        raise ZeroCode("zero code has no minimum weight")
+    best = C.n + 1
+    for words in _infoset_words(C, information_sets(C), lambda bound: bound >= best, budget):
+        best = min(best, int((words != 0).sum(axis=1).min()))
+    return best
 
 
 def light_word_blocks(C: LinearCode, t: int, budget: int = DEFAULT_BUDGET):
     """Yield arrays of nonzero codewords of weight <= t: every such word
     appears at least once up to a scalar, and may repeat.
 
-    Exact by the bound of :func:`_infoset_bound`: with w the smallest level
-    at which it exceeds t, a word of weight <= t has message weight <= w on
-    some set, so enumerating levels 1..w on the sets that count finds it.
-    At w = k one full set alone is every codeword.  One budget unit per
-    message, all charged before the first array.
+    Exact by the bound of :func:`_infoset_words`: the enumeration stops
+    once every word not yet found is heavier than t.  Below level k that
+    bound is at most the number of nonzero columns, which the sets cover;
+    for t that large, every codeword is light and one full set lists them
+    all.  One budget unit per message, charged per level.
     """
-    if C.k == 0 or t < 1:
-        return
     sets = information_sets(C)
-    k, q = C.k, C.field.q
-    ranks = [len(P) for _, P in sets]
-    w = next((w for w in range(k) if _infoset_bound(k, ranks, [w] * len(sets)) > t), k)
-    active = sets[:1] if w == k else [(G, P) for G, P in sets if w + 1 - (k - len(P)) > 0]
-    cost = len(active) * sum(_messages(k, q, i) for i in range(1, w + 1))
-    if cost > budget:
-        raise BudgetExceeded(
-            f"information-set enumeration of {cost} messages exceeds budget {budget}")
-    for G, _ in active:
-        for i in range(1, w + 1):
-            for words in _message_words(G, i):
-                yield words[(words != 0).sum(axis=1) <= t]
+    if t >= sum(len(P) for _, P in sets):
+        sets = sets[:1]
+    for words in _infoset_words(C, sets, lambda bound: bound > t, budget):
+        yield words[(words != 0).sum(axis=1) <= t]
 
 
 def low_weight_words(C: LinearCode, t: int,

@@ -23,7 +23,7 @@ from typing import Union
 
 from .errors import IoError, ParseError, QlrcError
 from .code import LinearCode
-from .gf import GF, Field
+from .gf import GF, MAX_FIELD_SIZE, Field
 from .locality import LocalityCertificate
 from .symp import SymplecticCode
 
@@ -38,7 +38,10 @@ def _field_from_header(line: str) -> Field:
     parts = _parse_kv_line(line)
     where = f"header {line!r}"
     p, m, poly, q = (int_field(parts, key, where) for key in ("p", "m", "poly", "q"))
-    if p < 2 or m > q.bit_length():        # p^m = q needs m <= log2(q)
+    # checked before GF() runs its primality and irreducibility tests
+    if q > MAX_FIELD_SIZE:
+        raise ParseError(f"field size q={q} exceeds the supported limit {MAX_FIELD_SIZE}")
+    if not 2 <= p <= q or m > q.bit_length():        # p^m = q needs m <= log2(q)
         raise ParseError(f"inconsistent field header: q={q} p={p} m={m}")
     digits = []
     v = poly

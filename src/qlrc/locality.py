@@ -82,9 +82,21 @@ class LocalityCertificate:
 
     @staticmethod
     def from_json(data: dict, n: Optional[int] = None) -> "LocalityCertificate":
+        """Read :meth:`to_json` output: r, delta and set members must be
+        JSON integers (not bools) and each set a list, or ParseError."""
+        def integer(x, what: str) -> int:
+            if type(x) is not int:
+                raise ParseError(f"certificate {what} {x!r} is not an integer")
+            return x
+
         try:
             sets_raw = {int(i): members for i, members in data["sets"].items()}
-            r, delta = int(data["r"]), int(data["delta"])
+            r, delta = integer(data["r"], "r"), integer(data["delta"], "delta")
+            for members in sets_raw.values():
+                if not isinstance(members, list):
+                    raise ParseError(f"certificate set {members!r} is not a list")
+                for x in members:
+                    integer(x, "set member")
             if n is None:
                 n = max(sets_raw) if sets_raw else 0
             sets = {i: IndexSet.of(n, members) for i, members in sets_raw.items()}

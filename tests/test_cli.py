@@ -1,9 +1,14 @@
 """CLI flows, file formats, exit codes, and JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qlrc
 from qlrc.cli import main
 from qlrc.errors import ParseError
 from qlrc.files import dumps_code, load_code, loads_code, save_code
@@ -217,6 +222,24 @@ def test_budget_exhaustion_exits_2_inconclusive(tmp_path, capsys, argv, message)
     assert capsys.readouterr().err == f"inconclusive: {message}\n"
 
 
+HUGE_Q = 2305843009213693951     # 2^61 - 1, a prime far above gf.MAX_FIELD_SIZE
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "big.code", "-r", "1", "-d", "2"],
+    ["construct", f"grs:q2={HUGE_Q},n=3,k=2", "-o", "out.code"],
+], ids=["code-file-header", "descriptor"])
+def test_huge_field_size_exits_3_before_any_factoring(tmp_path, argv):
+    """Rejected before a primality or factor loop runs; a subprocess with a
+    timeout turns a regression into a failure rather than a hang."""
+    (tmp_path / "big.code").write_text(f"q={HUGE_Q} p={HUGE_Q} m=1 poly=1\nn=1 k=1\n1\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(qlrc.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "qlrc.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (
+        3, f"error: field size q={HUGE_Q} exceeds the supported limit 1048576\n")
+
+
 def test_unexpected_exception_exits_4_with_traceback(tmp_path, capsys, monkeypatch):
     from qlrc import files
 
@@ -325,3 +348,25 @@ def test_delta2_frontier_certified_via_the_bridge(tmp_path, capsys, q, rect, r, 
     assert f"bound quantum-singleton: lhs={singleton} rhs={singleton} (attained)" in out
     assert f"bound quantum-r-lrc: lhs={k} rhs={k} (attained)" in out
     assert "verdict: certified" in out
+
+
+@pytest.mark.parametrize("r, rc, out, tail", [
+    (6, 0, "verdict: certified\n",
+     {"verdict": "certified", "certificate": {"r": 6, "delta": 2, "sets": {
+         "1": [1, 2, 4, 7], "2": [1, 2, 4, 7], "3": [1, 3, 4, 6], "4": [1, 2, 4, 7],
+         "5": [1, 2, 5, 6], "6": [1, 2, 5, 6], "7": [1, 2, 4, 7]}}}),
+    (2, 1, "verdict: refuted (all sets of size <= 3 through coordinate 1 fail)\n",
+     {"verdict": "refuted", "reason": "all sets of size <= 3 through coordinate 1 fail"}),
+], ids=["certified", "refuted"])
+def test_css_verify_output_is_pinned(tmp_path, capsys, r, rc, out, tail):
+    """No benchmark op runs --form css, so its stdout, exit code and JSON
+    report bytes (keys in order, no bounds key) are pinned here."""
+    ham = tmp_path / "ham.code"
+    assert run("construct", "hamming:m=3,q=2", "-o", str(ham)) == 0
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert run("verify", str(ham), "--mode", "quantum", "--form", "css", "--pair", str(ham),
+               "-r", str(r), "-d", "2", "--json", str(report)) == rc
+    assert capsys.readouterr() == (out, "")
+    expected = {"schema": 1, "mode": "quantum", "form": "css", "r": r, "delta": 2, "seed": 0}
+    assert report.read_text() == json.dumps({**expected, **tail}, indent=2) + "\n"

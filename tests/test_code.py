@@ -20,6 +20,7 @@ from qlrc.code import (
     generalized_hamming_weights,
     information_sets,
     iter_codeword_blocks,
+    light_word_blocks,
     low_weight_words,
     min_distance,
     min_weight_dependency,
@@ -325,14 +326,30 @@ def test_infoset_distance_matches_enumerate_and_dependency(pm, data):
     assert min_distance(C, "auto") == d
 
 
+def static_plan_messages(C, t):
+    """Messages of the static plan that charged every level up front: all
+    sets active at the smallest level w whose bound m(w + 1), plus the
+    partial-rank terms, exceeds t (one full set if none below k does)."""
+    if C.k == 0 or t < 1:
+        return 0
+    k, q = C.k, C.field.q
+    ranks = [len(P) for _, P in information_sets(C)]
+    w = next((w for w in range(k) if sum(max(0, w + 1 - (k - r)) for r in ranks) > t), k)
+    active = 1 if w == k else sum(1 for r in ranks if w + 1 - (k - r) > 0)
+    return active * sum(comb(k, i) * (q - 1) ** (i - 1) for i in range(1, w + 1))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(INFOSET_FIELDS), st.data())
 def test_low_weight_words_match_filtered_enumeration(pm, data):
+    """For every t, the words of weight <= t are found within the budget of
+    the static plan: the per-level walk never charges more messages."""
     F = GF(*pm)
     C = draw_code(data, F)
-    t = data.draw(st.integers(0, C.n))
-    expected = tuple(sorted(w for w in C.codewords() if 0 < weight(w) <= t))
-    assert low_weight_words(C, t) == expected, (C.gen.data, t)
+    words = [w for w in C.codewords() if any(w)]
+    for t in range(C.n + 2):
+        expected = tuple(sorted(w for w in words if weight(w) <= t))
+        assert low_weight_words(C, t, static_plan_messages(C, t)) == expected, (C.gen.data, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,3 +422,18 @@ def test_auto_keeps_the_strategy_of_each_benchmark_shape():
     assert _auto_strategy(step2, DEFAULT_BUDGET) == "dependency"
     assert _auto_strategy(grs_code(GF(2, 4), 12, 9), DEFAULT_BUDGET) == "dependency"
     assert min_distance(dual_euclidean(flagship)) == 7
+
+
+def test_flagship_dual_light_words_cost_one_set_at_level_one():
+    """The [49,7]_7 flagship dual has seven disjoint information sets.  Level
+    1 on the first (7 messages) lifts the bound to 2 + 6 = 8 > 7, so its
+    words of weight <= 7 cost 7 messages, not the 49 of all seven sets."""
+    from qlrc.constructions import DeltaSet, GridSpec, affine_variety_code
+
+    flagship = affine_variety_code(GridSpec.build(GF(7), 7, 7), DeltaSet.rect(7, 7, 5, 6))
+    D = dual_euclidean(flagship)
+    assert sum(len(b) for b in light_word_blocks(D, 7, budget=7)) == 7
+    words = low_weight_words(D, 7, budget=7)
+    assert len(words) == 42 and {weight(w) for w in words} == {7}
+    with pytest.raises(BudgetExceeded, match="enumeration of 7 messages exceeds budget 6"):
+        low_weight_words(D, 7, budget=6)

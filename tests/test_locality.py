@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qlrc.errors import BadParameters, IndexInR, IndexNotInJ
+from qlrc.errors import BadParameters, IndexInR, IndexNotInJ, ParseError
 from qlrc.gf import GF
 from qlrc.code import (
     IndexSet,
@@ -122,6 +122,26 @@ def test_certificate_json_round_trip(hamming74):
     assert set(data["sets"]) == {str(i) for i in range(1, 8)}
     back = LocalityCertificate.from_json(data, n=7)
     assert back == cert
+
+
+GOOD_CERT = {"r": 1, "delta": 2, "sets": {"1": [1, 2], "2": [1, 2]}}
+
+
+@pytest.mark.parametrize("bad", [
+    {"sets": {"1": "12", "2": [1, 2]}},
+    {"sets": {"1": [1.9, 2], "2": [1, 2]}},
+    {"sets": {"1": [True, 2], "2": [1, 2]}},
+    {"sets": {"1": {"1": 2}, "2": [1, 2]}},
+    {"r": 1.5},
+    {"r": True},
+    {"delta": "2"},
+], ids=["set-as-string", "float-member", "bool-member", "set-as-object", "float-r", "bool-r",
+        "string-delta"])
+def test_certificate_json_takes_only_integers_and_lists(bad):
+    """Values are not coerced: "12" is not [1, 2], nor 1.5 the integer 1."""
+    assert LocalityCertificate.from_json(GOOD_CERT, 2).r == 1
+    with pytest.raises(ParseError):
+        LocalityCertificate.from_json({**GOOD_CERT, **bad}, 2)
 
 
 def test_bad_certificate_refuted(hamming74):
