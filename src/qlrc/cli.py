@@ -154,7 +154,7 @@ def build_from_descriptor(desc: str, hermitian_dc: bool = False,
         field = GF(*_prime_power(q2))
         claims = {"mds": f"[{n},{k},{n - k + 1}]_{q2}"}
         if hermitian_dc:
-            code, mult = hermitian_dc_grs_search(field, n, k)
+            code, mult = hermitian_dc_grs_search(field, n, k, budget)
             claims["multipliers"] = str(mult)
             claims["quantum"] = f"[[{n},{2 * k - n},{n - k + 1}]]_{field.subfield_order}"
             return code, claims

@@ -22,6 +22,11 @@ The same bound makes :func:`light_word_blocks` and :func:`low_weight_words`
 find every word of weight <= t exactly.  Each raises
 :class:`~qlrc.errors.BudgetExceeded` instead of running away; ``auto``
 picks the strategy by estimated time.
+
+The two numpy kernels, the codeword one and the information-set one, take
+their field arithmetic from :func:`~qlrc.matrix.row_ops` (scalar multiples
+of a row) and :meth:`~qlrc.gf.Field.add_arrays` (entrywise sums of encoded
+arrays), and build no field table of their own.
 """
 
 from __future__ import annotations
@@ -279,25 +284,20 @@ def iter_codeword_blocks(C: LinearCode, chunk: int = 1 << 16):
     import numpy as np
 
     F, n = C.field, C.n
-    dtype = np.min_scalar_type(F.q - 1)
-    add = None
-    if C.k > 2:
-        # a half of two or more rows needs the field's q x q addition table;
-        # then at least q^3 words are enumerated
-        add = np.array([[F.add(a, b) for b in range(F.q)] for a in range(F.q)], dtype)
+    ops = row_ops(F)
 
-    def span(rows):
-        table = np.zeros((1, n), dtype)
+    def span(rows, coefs):
+        table = np.zeros((1, n), F.array_dtype())
         for row in rows:
-            multiples = np.array([[F.mul(c, x) for x in row] for c in range(F.q)], dtype)
+            multiples = np.array([ops.scale(row, c) for c in coefs], table.dtype)[:, None, :]
             if len(table) > 1:
-                multiples = add[multiples[:, None, :], table[None, :, :]]
+                multiples = F.add_arrays(multiples, table[None, :, :])
             table = multiples.reshape(-1, n)
         return table
 
     ka = (C.k + 1) // 2
-    low = span(C.gen.data[:ka])
-    neg_high = span([[F.neg(x) for x in row] for row in C.gen.data[ka:]])
+    low = span(C.gen.data[:ka], range(F.q))
+    neg_high = span(C.gen.data[ka:], [ops.neg(c) for c in range(F.q)])
     per = max(1, chunk // len(low))
     for b in range(0, len(neg_high), per):
         yield b * len(low), (low[None, :, :] != neg_high[b:b + per, None, :]).reshape(-1, n)
@@ -425,32 +425,17 @@ def _messages(k: int, q: int, i: int) -> int:
     return comb(k, i) * (q - 1) ** (i - 1)
 
 
-@lru_cache(maxsize=16)
-def _field_arrays(F: Field):
-    """numpy (add, mul, inv) tables of F, indexed by integer encoding."""
-    import numpy as np
-
-    dtype = np.min_scalar_type(F.q - 1)
-    add = np.array([[F.add(a, b) for b in range(F.q)] for a in range(F.q)], dtype)
-    mul = np.array([[F.mul(a, b) for b in range(F.q)] for a in range(F.q)], dtype)
-    inv = np.array([0] + [F.inv(a) for a in range(1, F.q)], dtype)
-    return add, mul, inv
-
-
-def _message_words(G: Matrix, i: int):
+def _message_words(F: Field, scaled, i: int):
     """Yield arrays of the codewords u G over the messages u of weight
     exactly i whose first nonzero coefficient is 1 (one word per
     projective point), in lexicographic order of the message support, at
-    most about 2^15 words per array."""
+    most about 2^15 words per array.  ``scaled[s, c]`` is c times row s
+    of G, for every c when i >= 2 and for c < 2 when i = 1."""
     import numpy as np
 
-    F = G.field
-    add, mul, _ = _field_arrays(F)
-    rows = np.array(G.data, add.dtype)
-    scaled = mul[:, rows].transpose(1, 0, 2)            # scaled[s, c] = c * row s
     coefs = np.array(list(product(range(1, F.q), repeat=i - 1)),
                      np.intp).reshape((F.q - 1) ** (i - 1), i - 1)
-    supports = combinations(range(G.rows), i)
+    supports = combinations(range(len(scaled)), i)
     per = max(1, (1 << 15) // len(coefs))
     while True:
         pos = np.array(list(islice(supports, per)), np.intp).reshape(-1, i)
@@ -458,8 +443,8 @@ def _message_words(G: Matrix, i: int):
             return
         acc = scaled[pos[:, 0], 1][:, None, :]
         for s in range(1, i):
-            acc = add[acc, scaled[pos[:, s, None], coefs[None, :, s - 1]]]
-        yield acc.reshape(-1, G.cols)
+            acc = F.add_arrays(acc, scaled[pos[:, s, None], coefs[None, :, s - 1]])
+        yield acc.reshape(-1, scaled.shape[2])
 
 
 def _infoset_words(C: LinearCode, sets, stop: Callable[[int], bool], budget: int):
@@ -473,9 +458,13 @@ def _infoset_words(C: LinearCode, sets, stop: Callable[[int], bool], budget: int
     the walk ends if ``stop`` holds for the sum of these bounds.  One budget
     unit per message, charged per weight.
     """
-    k, q = C.k, C.field.q
+    import numpy as np
+
+    F, k, q = C.field, C.k, C.field.q
+    scale = row_ops(F).scale
     ranks = [len(P) for _, P in sets]
     done = [0] * len(sets)
+    scaled = [None] * len(sets)     # the multiples c < 2 of set j's rows, then every c
     spent = 0
     for w in range(1, k + 1):
         for j, (G, _) in enumerate(sets):
@@ -488,7 +477,11 @@ def _infoset_words(C: LinearCode, sets, stop: Callable[[int], bool], budget: int
                 if spent > budget:
                     raise BudgetExceeded(
                         f"information-set enumeration of {spent} messages exceeds budget {budget}")
-                yield from _message_words(G, i)
+                count = 2 if i == 1 else q
+                if scaled[j] is None or scaled[j].shape[1] < count:
+                    scaled[j] = np.array([[scale(row, c) for c in range(count)]
+                                          for row in G.data], F.array_dtype())
+                yield from _message_words(F, scaled[j], i)
                 done[j] = i
 
 
@@ -527,31 +520,24 @@ def low_weight_words(C: LinearCode, t: int,
                      budget: int = DEFAULT_BUDGET) -> Tuple[Tuple[int, ...], ...]:
     """Every nonzero codeword of weight <= t, sorted (all scalar multiples),
     from :func:`light_word_blocks`."""
-    import numpy as np
-
-    _, mul, inv = _field_arrays(C.field)
+    inv, _, scale, _ = row_ops(C.field)
     found = set()
     for light in light_word_blocks(C, t, budget):
-        # scale each word to lead with 1, so repeats across sets coincide
-        lead = light[np.arange(len(light)), (light != 0).argmax(axis=1)]
-        found.update(map(tuple, mul[inv[lead][:, None], light].tolist()))
-    if not found:
-        return ()
-    reps = np.array(sorted(found), mul.dtype)
-    return tuple(sorted(tuple(v) for c in range(1, C.field.q) for v in mul[c][reps].tolist()))
+        for word in light.tolist():
+            # scaled to lead with 1, so repeats across sets coincide
+            found.add(tuple(scale(word, inv(next(x for x in word if x)))))
+    return tuple(sorted(tuple(scale(v, c)) for c in range(1, C.field.q) for v in found))
 
 
 # Seconds per unit of work, measured with numpy on one core of a 2-core x86
 # machine (Python 3.11): per word and coordinate of the codeword kernel; per
 # message, coordinate and weight level of the information-set kernel, per
-# call of that kernel (one set and level), per k x k x n cell of each
-# elimination that finds a set and per entry of the q x q field tables; per
-# column subset of the dependency scan.
+# call of that kernel (one set and level) and per k x k x n cell of each
+# elimination that finds a set; per column subset of the dependency scan.
 _ENUM_COST = 2e-9
 _INFOSET_COST = 8e-9
 _KERNEL_CALL_COST = 4e-5
 _ELIMINATION_COST = 1.2e-7
-_TABLE_COST = 6e-7
 _DEPENDENCY_COST = 2.5e-6
 
 
@@ -573,7 +559,7 @@ def _auto_strategy(C: LinearCode, budget: int) -> str:
         _messages(k, q, i) for i in range(1, w + 1))
     if messages <= budget:
         costs["infoset"] = (_INFOSET_COST * messages * n * w + _KERNEL_CALL_COST * m * w
-                            + _ELIMINATION_COST * (m + 1) * k * k * n + _TABLE_COST * q * q)
+                            + _ELIMINATION_COST * (m + 1) * k * k * n)
     return min(costs, key=costs.__getitem__)
 
 

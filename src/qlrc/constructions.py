@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -254,26 +255,23 @@ def grs_code(field: Field, n: int, k: int,
     return LinearCode.from_rows(field, rows)
 
 
-def hermitian_dc_grs_search(field: Field, n: int, k: int
+def hermitian_dc_grs_search(field: Field, n: int, k: int, budget: int = DEFAULT_BUDGET
                             ) -> Tuple[LinearCode, Tuple[int, ...]]:
     """First (lexicographic in the multiplier tuple) GRS code over GF(q^2)
     whose Hermitian dual is self-orthogonal, i.e. which is Hermitian
-    dual-containing.  Exhaustive over nonzero multipliers with early exit.
+    dual-containing.  Exhaustive over nonzero multipliers with early exit,
+    one budget unit per tuple tried.  2k < n is refused up front: a code
+    containing its Hermitian dual has n - k <= k.
     """
+    if 2 * k < n:
+        raise BadParameters(
+            f"no [{n},{k}] code contains its Hermitian dual: that needs 2k >= n")
     q = field.q
     points = list(range(min(n, q))) + ([INFINITY] if n == q + 1 else [])
-    units = list(range(1, q))
-
-    def tuples(prefix: list[int], depth: int):
-        if depth == n:
-            yield tuple(prefix)
-            return
-        for u in units:
-            prefix.append(u)
-            yield from tuples(prefix, depth + 1)
-            prefix.pop()
-
-    for mult in tuples([], 0):
+    for tried, mult in enumerate(product(range(1, q), repeat=n), 1):
+        if tried > budget:
+            raise BudgetExceeded(
+                f"trying {tried} multiplier tuples exceeds budget {budget}")
         C = grs_code(field, n, k, points, mult)
         if is_self_orthogonal(dual_hermitian(C), "hermitian"):
             return C, mult

@@ -43,6 +43,8 @@ def _field_from_header(line: str) -> Field:
         raise ParseError(f"field size q={q} exceeds the supported limit {MAX_FIELD_SIZE}")
     if not 2 <= p <= q or m > q.bit_length():        # p^m = q needs m <= log2(q)
         raise ParseError(f"inconsistent field header: q={q} p={p} m={m}")
+    if not p ** m <= poly < 2 * p ** m:             # base-p digits of a monic degree-m modulus
+        raise ParseError(f"poly={poly} does not encode a monic degree-{m} polynomial over GF({p})")
     digits = []
     v = poly
     for _ in range(m + 1):
@@ -110,7 +112,7 @@ def loads_code(text: str) -> AnyCode:
         raise ParseError(f"negative dimensions n={n} k={k}")
     idx += 1
     rows = []
-    for ln in lines[idx:idx + k]:
+    for ln in lines[idx:]:
         try:
             row = [int(t) for t in ln.split()]
         except ValueError as exc:

@@ -9,9 +9,12 @@ loops over a field enumerate elements in ascending integer encoding.
 A :class:`Field` does arithmetic directly on the integer encodings (that is
 what the matrix and code layers use); :class:`FieldElement` is a thin typed
 wrapper with operator overloading for callers who prefer values that know
-their field.  Fields with q <= 2^8 also expose add/mul/neg/inv lookup
-tables indexed by encoding (:meth:`Field.tables`), built on first use, for
-the row operations of the matrix layer.
+their field.  This is the only module that tabulates field arithmetic:
+extension fields up to q = 2^12 keep log/exp tables, and fields with
+q <= 2^8 also expose add/mul/neg/inv lookup tables indexed by encoding
+(:meth:`Field.tables`), built on first use, for the row operations of the
+matrix layer.  Numpy arrays of encodings are summed without a table
+(:meth:`Field.add_arrays`): xor for p = 2, base-p digits otherwise.
 
 The modulus used for GF(p^m) is the lexicographically smallest monic
 irreducible polynomial of degree m over GF(p) (smallest integer encoding),
@@ -297,8 +300,7 @@ class Field:
             return 0
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
-        prod = _poly_mul_mod(self.coeffs(a), self.coeffs(b), self.irreducible, self.p)
-        return self.encode(prod + [0] * (self.m - len(prod)))
+        return self._slow_mul(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -349,6 +351,26 @@ class Field:
             raise NotAQuadraticExtension(f"{self!r} has odd extension degree")
         return self.p ** (self.m // 2)
 
+    # -- numpy arrays of encodings --
+
+    def array_dtype(self):
+        """The least unsigned numpy dtype holding q - 1, or 2(q - 1) for odd p."""
+        import numpy as np
+
+        return np.min_scalar_type(self.q - 1 if self.p == 2 else 2 * (self.q - 1))
+
+    def add_arrays(self, a, b):
+        """Entrywise sum of two broadcastable arrays of dtype :meth:`array_dtype`:
+        xor for p = 2, else a + b less p^(i+1) for each digit i where the
+        base-p digits of a and b sum to p or more."""
+        if self.p == 2:
+            return a ^ b
+        p, s, unit = self.p, a + b, 1
+        for _ in range(self.m):
+            s -= (a // unit % p + b // unit % p >= p) * s.dtype.type(p * unit)
+            unit *= p
+        return s
+
     # -- element-wrapper interface --
 
     def __call__(self, value: int) -> "FieldElement":
@@ -395,7 +417,6 @@ class Field:
         # order q-1 and smallest encoding (deterministic).
         q = self.q
         for g in range(2, q):
-            seen = 1
             val = g
             order = 1
             while val != 1:

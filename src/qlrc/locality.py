@@ -73,6 +73,16 @@ class LocalityCertificate:
     def set_for(self, i: int) -> IndexSet:
         return dict(self.sets)[i]
 
+    def mismatch(self, n: int, r: int, delta: int) -> Optional[str]:
+        """Why this certificate cannot certify a length-n code as an
+        (r, delta)-LRC without checking its sets, or None."""
+        if self.n != n:
+            return "certificate length does not match the code"
+        if (self.r, self.delta) != (r, delta):
+            return (f"certificate is for (r, delta) = ({self.r}, {self.delta}), "
+                    f"not ({r}, {delta})")
+        return None
+
     def to_json(self) -> dict:
         return {
             "r": self.r,
@@ -83,7 +93,8 @@ class LocalityCertificate:
     @staticmethod
     def from_json(data: dict, n: Optional[int] = None) -> "LocalityCertificate":
         """Read :meth:`to_json` output: r, delta and set members must be
-        JSON integers (not bools) and each set a list, or ParseError."""
+        JSON integers (not bools), each set a duplicate-free list and each
+        key a decimal integer as :meth:`to_json` writes it, or ParseError."""
         def integer(x, what: str) -> int:
             if type(x) is not int:
                 raise ParseError(f"certificate {what} {x!r} is not an integer")
@@ -92,11 +103,15 @@ class LocalityCertificate:
         try:
             sets_raw = {int(i): members for i, members in data["sets"].items()}
             r, delta = integer(data["r"], "r"), integer(data["delta"], "delta")
-            for members in sets_raw.values():
+            for key, members in data["sets"].items():
+                if str(int(key)) != key:
+                    raise ParseError(f"certificate set key {key!r} is not a decimal integer")
                 if not isinstance(members, list):
                     raise ParseError(f"certificate set {members!r} is not a list")
                 for x in members:
                     integer(x, "set member")
+                if len(set(members)) != len(members):
+                    raise ParseError(f"certificate set {members!r} repeats a member")
             if n is None:
                 n = max(sets_raw) if sets_raw else 0
             sets = {i: IndexSet.of(n, members) for i, members in sets_raw.items()}
@@ -211,8 +226,9 @@ def verify_rdelta_lrc(C: LinearCode, r: int, delta: int,
     if r < 1 or delta < 2:
         raise BadParameters(f"need r >= 1 and delta >= 2, got ({r}, {delta})")
     if certificate is not None:
-        if certificate.n != C.n:
-            return Verdict("refuted", reason="certificate length does not match the code")
+        reason = certificate.mismatch(C.n, r, delta)
+        if reason:
+            return Verdict("refuted", reason=reason)
         for i, J in certificate.sets:
             if len(J) > r + delta - 1:
                 return Verdict("refuted",

@@ -279,8 +279,9 @@ def verify_quantum_rdelta_lrc(carrier: Union[SymplecticCode, LinearCode, CssPair
         return Verdict("refuted", reason="r+delta-1 below the minimum set size delta")
 
     if certificate is not None:
-        if certificate.n != n:
-            return Verdict("refuted", reason="certificate length does not match the code")
+        reason = certificate.mismatch(n, r, delta)
+        if reason:
+            return Verdict("refuted", reason=reason)
         for i, J in certificate.sets:
             # below delta elements the (I, J) condition would hold vacuously
             if not delta <= len(J) <= max_size or not _ij_all_subsets_ok(check, n, J, delta):

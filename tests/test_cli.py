@@ -64,6 +64,13 @@ def test_loads_rejects_malformed():
         loads_code("q=2 p=2 m=1 poly=2\nlayout=symplectic n=2\n")
     with pytest.raises(ParseError):
         loads_code("q=2 p=2 m=1 poly=2\nn=-3 k=0\n")
+    # poly= outside [p^m, 2p^m) is not a monic degree-m modulus
+    with pytest.raises(ParseError, match="poly=15 does not encode"):
+        loads_code("q=4 p=2 m=2 poly=15\nn=2 k=1\n1 1\n")
+    with pytest.raises(ParseError, match="poly=-9 does not encode"):
+        loads_code("q=4 p=2 m=2 poly=-9\nn=2 k=1\n1 1\n")
+    with pytest.raises(ParseError, match="expected 1 generator rows, found 2"):
+        loads_code("q=2 p=2 m=1 poly=2\nn=3 k=1\n1 1 1\n1 0 1\n")
 
 
 def test_construct_verify_round_trip(tmp_path, capsys):
@@ -165,6 +172,22 @@ def test_verify_css_form_with_pair(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("cert, rc, out", [
+    ('{"r": 1, "delta": 2, "sets": {"1": [1, 2], "2": [1, 2]}}', 0, "verdict: certified"),
+    ('{"r": 7, "delta": 9, "sets": {"1": [1, 2], "2": [1, 2]}}', 1,
+     "verdict: refuted (certificate is for (r, delta) = (7, 9), not (1, 2))"),
+    ('{"r": 1, "delta": 2, "sets": {"1": [1, 1, 2], " +2": [1, 2]}}', 3, ""),
+], ids=["matching", "other-parameters", "coerced-keys-and-members"])
+def test_verify_checks_what_the_certificate_says(tmp_path, capsys, cert, rc, out):
+    """The [2,1] repetition code: a certificate is read as written, and one
+    made for another (r, delta) does not certify -r 1 -d 2."""
+    (tmp_path / "rep.code").write_text("q=2 p=2 m=1 poly=2\nn=2 k=1\n1 1\n")
+    (tmp_path / "cert.json").write_text(cert)
+    assert run("verify", str(tmp_path / "rep.code"), "-r", "1", "-d", "2",
+               "--certificate", str(tmp_path / "cert.json")) == rc
+    assert out in capsys.readouterr().out
+
+
 def test_verify_with_certificate_file(tmp_path, capsys):
     from qlrc.files import save_certificate
     from qlrc.locality import verify_rdelta_lrc
@@ -222,6 +245,13 @@ def test_budget_exhaustion_exits_2_inconclusive(tmp_path, capsys, argv, message)
     assert capsys.readouterr().err == f"inconclusive: {message}\n"
 
 
+def run_subprocess(tmp_path, argv, timeout):
+    """``python -m qlrc.cli argv`` in tmp_path, killed after ``timeout`` s."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qlrc.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "qlrc.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 HUGE_Q = 2305843009213693951     # 2^61 - 1, a prime far above gf.MAX_FIELD_SIZE
 
 
@@ -233,11 +263,33 @@ def test_huge_field_size_exits_3_before_any_factoring(tmp_path, argv):
     """Rejected before a primality or factor loop runs; a subprocess with a
     timeout turns a regression into a failure rather than a hang."""
     (tmp_path / "big.code").write_text(f"q={HUGE_Q} p={HUGE_Q} m=1 poly=1\nn=1 k=1\n1\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(qlrc.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "qlrc.cli", *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_subprocess(tmp_path, argv, 60)
     assert (proc.returncode, proc.stderr) == (
         3, f"error: field size q={HUGE_Q} exceeds the supported limit 1048576\n")
+
+
+@pytest.mark.parametrize("k, budget, rc, err", [
+    (3, "1000", 3, "error: no [12,3] code contains its Hermitian dual: that needs 2k >= n\n"),
+    (6, "100", 2, "inconclusive: trying 101 multiplier tuples exceeds budget 100\n"),
+], ids=["2k-below-n", "over-budget"])
+def test_hermitian_dc_search_ends(tmp_path, k, budget, rc, err):
+    """The multiplier search over 15^12 tuples refuses 2k < n and stops at
+    the budget; a subprocess under a timeout turns a hang into a failure."""
+    proc = run_subprocess(tmp_path, ["construct", f"grs:q2=16,n=12,k={k}", "--hermitian-dc",
+                                     "-o", "h.code", "--budget", budget], 30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, "", err)
+    assert not (tmp_path / "h.code").exists()
+
+
+def test_grs_over_gf4096_verifies_without_field_tables(tmp_path):
+    """No q x q table is built: the [10,5]_4096 (5, 2) verify certifies in
+    well under 20 s (it took 30-45 s when the kernels tabulated GF(4096))."""
+    assert run("construct", "grs:q2=4096,n=10,k=5", "-o", str(tmp_path / "g.code")) == 0
+    proc = run_subprocess(tmp_path, ["verify", "g.code", "-r", "5", "-d", "2"], 20)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["classical [10,5,6]_4096",
+                                        "  bound classical-singleton: lhs=11 rhs=11 (attained)",
+                                        "verdict: certified"]
 
 
 def test_unexpected_exception_exits_4_with_traceback(tmp_path, capsys, monkeypatch):
@@ -304,6 +356,11 @@ def test_quantum_verify_reads_the_certificate(tmp_path, capsys, path):
         assert data["via"] == path
     assert run(*argv, "--certificate", str(tmp_path / "wrong.json")) == 1
     assert "certified set for coordinate" in capsys.readouterr().out
+    other = LocalityCertificate(valid.n, valid.r + 1, valid.delta, valid.sets)
+    save_certificate(other, tmp_path / "other.json")
+    assert run(*argv, "--certificate", str(tmp_path / "other.json")) == 1
+    assert (f"certificate is for (r, delta) = ({valid.r + 1}, {valid.delta}), "
+            f"not ({valid.r}, {valid.delta})") in capsys.readouterr().out
 
 
 def test_t_max_zero_is_a_usage_error(tmp_path, capsys):

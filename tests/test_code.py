@@ -188,7 +188,8 @@ def test_codeword_enumeration_order_and_count():
     assert words[1] == (1, 0, 2)        # first generator row, message (1, 0)
 
 
-KERNEL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
+# GF(251) lies above the lookup-table limit: scalar row ops, uint16 arrays
+KERNEL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4), (251, 1)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -295,7 +296,7 @@ def test_dependency_scan_edge_codes():
             "BudgetExceeded", "C(5,2) supports exceed budget 9")
 
 
-INFOSET_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)]
+INFOSET_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (251, 1)]
 
 
 def draw_code(data, F, max_n=9, max_words=4096):
@@ -320,7 +321,7 @@ def draw_code(data, F, max_n=9, max_words=4096):
 @given(st.sampled_from(INFOSET_FIELDS), st.data())
 def test_infoset_distance_matches_enumerate_and_dependency(pm, data):
     F = GF(*pm)
-    C = draw_code(data, F)
+    C = draw_code(data, F, max_words=max(4096, F.q ** 2))   # GF(251) reaches level 2
     d = min_distance(C, "enumerate")
     assert min_distance(C, "infoset") == d == min_distance(C, "dependency"), C.gen.data
     assert min_distance(C, "auto") == d
@@ -345,7 +346,7 @@ def test_low_weight_words_match_filtered_enumeration(pm, data):
     """For every t, the words of weight <= t are found within the budget of
     the static plan: the per-level walk never charges more messages."""
     F = GF(*pm)
-    C = draw_code(data, F)
+    C = draw_code(data, F, max_words=max(4096, F.q ** 2))   # GF(251) reaches level 2
     words = [w for w in C.codewords() if any(w)]
     for t in range(C.n + 2):
         expected = tuple(sorted(w for w in words if weight(w) <= t))
@@ -410,9 +411,15 @@ def test_infoset_budget_counts_messages():
 
 def test_auto_keeps_the_strategy_of_each_benchmark_shape():
     """auto answers from the code's shape: the flagship dual [49,7]_7 by
-    information sets, [49,34]_7 and [12,9]_16 by the dependency scan."""
+    information sets, [49,34]_7 and [12,9]_16 by the dependency scan, and
+    the other benchmark and frontier shapes as below."""
     from qlrc.code import _auto_strategy
     from qlrc.constructions import DeltaSet, GridSpec, affine_variety_code, grs_code
+
+    def affine_dual(p, m, delta, i, j):
+        grid = GridSpec.build(GF(p, m), p ** m, p ** m)
+        return dual_euclidean(affine_variety_code(grid, getattr(DeltaSet, delta)(
+            p ** m, p ** m, i, j)))
 
     grid = GridSpec.build(GF(7), 7, 7)
     flagship = affine_variety_code(grid, DeltaSet.rect(7, 7, 5, 6))
@@ -422,6 +429,20 @@ def test_auto_keeps_the_strategy_of_each_benchmark_shape():
     assert _auto_strategy(step2, DEFAULT_BUDGET) == "dependency"
     assert _auto_strategy(grs_code(GF(2, 4), 12, 9), DEFAULT_BUDGET) == "dependency"
     assert min_distance(dual_euclidean(flagship)) == 7
+    shapes = {
+        "enumerate": [affine_dual(5, 1, "rect", 3, 4), affine_dual(2, 2, "step2", 2, 1),
+                      dual_euclidean(grs_code(GF(2, 4), 12, 9)), grs_code(GF(2, 3), 9, 4)],
+        "infoset": [grs_code(GF(3, 2), 10, 5), affine_dual(5, 1, "step2", 3, 1),
+                    affine_dual(7, 1, "step2", 4, 3), affine_dual(2, 3, "rect", 6, 7),
+                    affine_dual(3, 2, "rect", 7, 8), affine_dual(2, 3, "rect", 5, 7)],
+    }
+    assert {s: [(C.n, C.k, C.field.q) for C in codes] for s, codes in shapes.items()} == {
+        "enumerate": [(25, 5, 5), (16, 5, 4), (12, 3, 16), (9, 4, 8)],
+        "infoset": [(10, 5, 9), (25, 7, 5), (49, 15, 7), (64, 8, 8), (81, 9, 9), (64, 16, 8)],
+    }
+    for strategy, codes in shapes.items():
+        for C in codes:
+            assert _auto_strategy(C, DEFAULT_BUDGET) == strategy, (C.n, C.k, C.field.q)
 
 
 def test_flagship_dual_light_words_cost_one_set_at_level_one():

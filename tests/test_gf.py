@@ -105,6 +105,27 @@ def test_prime_field_ring_axioms(p, data):
         assert F.mul(F.div(a, b), b) == a
 
 
+# GF(251) sums reach 500, past uint8; GF(3^6) has six base-3 digits
+ARRAY_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2),
+                (3, 3), (251, 1), (3, 6)]
+
+
+@given(st.sampled_from(ARRAY_FIELDS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_add_arrays_matches_scalar_add(pm, data):
+    """Field.add_arrays is Field.add entrywise, with broadcasting, on arrays
+    of dtype Field.array_dtype that always hold the largest encodings."""
+    import numpy as np
+
+    F = GF(*pm)
+    enc = st.lists(st.integers(0, F.q - 1), min_size=1, max_size=12)
+    a = data.draw(enc) + [F.q - 1]
+    b = data.draw(enc) + [F.q - 1]
+    s = F.add_arrays(np.array(a, F.array_dtype())[:, None], np.array(b, F.array_dtype())[None, :])
+    assert s.dtype == F.array_dtype()
+    assert s.tolist() == [[F.add(x, y) for y in b] for x in a]
+
+
 def test_element_wrapper_operations():
     F4 = GF(2, 2)
     w = F4(2)

@@ -135,13 +135,37 @@ GOOD_CERT = {"r": 1, "delta": 2, "sets": {"1": [1, 2], "2": [1, 2]}}
     {"r": 1.5},
     {"r": True},
     {"delta": "2"},
+    {"sets": {"1": [1, 2], " +2": [1, 2]}},
+    {"sets": {"1": [1, 2], "02": [1, 2]}},
+    {"sets": {"1": [1, 1, 2], "2": [1, 2]}},
 ], ids=["set-as-string", "float-member", "bool-member", "set-as-object", "float-r", "bool-r",
-        "string-delta"])
+        "string-delta", "signed-key", "zero-padded-key", "repeated-member"])
 def test_certificate_json_takes_only_integers_and_lists(bad):
-    """Values are not coerced: "12" is not [1, 2], nor 1.5 the integer 1."""
+    """Values are not coerced: "12" is not [1, 2], nor 1.5 the integer 1,
+    nor " +2" the key "2"; a repeated member is not dropped."""
     assert LocalityCertificate.from_json(GOOD_CERT, 2).r == 1
     with pytest.raises(ParseError):
         LocalityCertificate.from_json({**GOOD_CERT, **bad}, 2)
+
+
+def test_certificate_for_other_parameters_is_refuted():
+    """A certificate states its own (r, delta); both verifiers refuse one
+    made for other parameters, even when its sets would pass."""
+    from qlrc.qlocality import verify_quantum_rdelta_lrc
+
+    rep = LinearCode.from_rows(GF(2), [[1, 1]])
+    sets = {1: IndexSet.of(2, [1, 2]), 2: IndexSet.of(2, [1, 2])}
+    assert verify_rdelta_lrc(rep, 1, 2, LocalityCertificate.of(2, 1, 2, sets)).certified
+    other = LocalityCertificate.of(2, 7, 9, sets)
+    verdict = verify_rdelta_lrc(rep, 1, 2, other)
+    assert (verdict.status, verdict.reason) == (
+        "refuted", "certificate is for (r, delta) = (7, 9), not (1, 2)")
+    self_dual = LinearCode.from_rows(GF(2), [[1, 1, 0, 0], [0, 0, 1, 1]])
+    cert = verify_quantum_rdelta_lrc(self_dual, "euclidean", 2, 3).certificate
+    assert verify_quantum_rdelta_lrc(self_dual, "euclidean", 2, 3, cert).certified
+    verdict = verify_quantum_rdelta_lrc(self_dual, "euclidean", 3, 3, cert)
+    assert (verdict.status, verdict.reason) == (
+        "refuted", "certificate is for (r, delta) = (2, 3), not (3, 3)")
 
 
 def test_bad_certificate_refuted(hamming74):
