@@ -6,7 +6,7 @@ recoverability, and checking the Singleton-like bounds, with brute-force
 oracles validating every fast criterion.
 """
 
-from .gf import GF, Field, FieldElement, subfield_embed
+from .gf import GF, Field
 from .matrix import Matrix, kernel, rank, rref, solve, subspace_equal
 from .code import (
     IndexSet,

@@ -53,6 +53,7 @@ from .constructions import (
     hamming_code,
     hermitian_dc_grs_search,
     steane_symplectic,
+    symplectic_quantum_params,
 )
 from .gf import GF, MAX_FIELD_SIZE, _prime_factors
 from .locality import classical_singleton, verify_rdelta_lrc
@@ -62,7 +63,6 @@ from .qlocality import (
     purity_check,
     quantum_r_lrc_bound,
     quantum_singleton,
-    stabilizer_distance_symplectic,
     verify_quantum_rdelta_lrc,
 )
 from .symp import SymplecticCode, dual_symplectic, gsw_hierarchy, is_self_orthogonal
@@ -132,6 +132,8 @@ def build_from_descriptor(desc: str, hermitian_dc: bool = False,
                           budget: int = DEFAULT_BUDGET):
     """Return (code, claims dict) for a construction descriptor."""
     name, _, body = desc.partition(":")
+    if hermitian_dc and name != "grs":
+        raise ParseError("--hermitian-dc applies to grs: descriptors")
     where = f"{name} descriptor"
     if name == "steane":
         return steane_symplectic(), {"quantum": "[[7,1,3]]_2"}
@@ -203,11 +205,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     files.save_code(code, args.out)
     if isinstance(code, SymplecticCode):
         print(f"wrote symplectic code: n={code.n} dim={code.dim} -> {args.out}")
-        try:
-            d = stabilizer_distance_symplectic(code, args.budget)
-            print(f"measured quantum parameters: [[{code.n},{code.n - code.dim},{d}]]")
-        except BudgetExceeded:
-            print("stabilizer distance skipped (budget)")
+        params = symplectic_quantum_params(code, args.budget)
+        print(f"measured quantum parameters: {params.label()}" if params.d_is_exact
+              else "stabilizer distance skipped (budget)")
     else:
         try:
             dtxt = str(min_distance(code, "auto", args.budget))
@@ -236,14 +236,12 @@ def _verify_symplectic(code, form, args, cert):
     if not isinstance(code, SymplecticCode):
         raise ParseError("symplectic form needs a symplectic code file")
     verdict = verify_quantum_rdelta_lrc(code, form, args.r, args.delta, cert, args.budget)
-    k_q = code.n - code.dim
-    try:
-        d_q = stabilizer_distance_symplectic(code, args.budget)
-    except BudgetExceeded:
-        return verdict, [], {}, [f"stabilizer code [[{code.n},{k_q},?]]_{code.field.q} "
+    params = symplectic_quantum_params(code, args.budget)
+    if not params.d_is_exact:
+        return verdict, [], {}, [f"stabilizer code [[{code.n},{params.k},?]]_{code.field.q} "
                                  "(distance skipped: budget)"]
-    bounds = [quantum_r_lrc_bound((code.n, k_q, d_q), args.r + args.delta - 2)]
-    return verdict, bounds, {}, [f"stabilizer code [[{code.n},{k_q},{d_q}]]_{code.field.q}"]
+    bounds = [quantum_r_lrc_bound((code.n, params.k, params.d_lower), args.r + args.delta - 2)]
+    return verdict, bounds, {}, [f"stabilizer code {params.label()}_{code.field.q}"]
 
 
 def _verify_css(code, form, args, cert):
@@ -294,6 +292,10 @@ def _verify_linear(C, form, args, cert):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.mode == "classical" and args.form:
+        raise ParseError("--form applies to --mode quantum")
+    if args.pair and args.form != "css":
+        raise ParseError("--pair applies to --form css")
     code = files.load_code(args.code)
     cert = files.load_certificate(args.certificate, code.n) if args.certificate else None
     form = args.form
@@ -379,7 +381,8 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("descriptor")
     sp.add_argument("--out", "-o", required=True)
     sp.add_argument("--hermitian-dc", action="store_true",
-                    help="search GRS multipliers for a Hermitian dual-containing code")
+                    help="search GRS multipliers for a Hermitian dual-containing code "
+                         "(grs: descriptors only)")
     _add_common(sp)
     sp.set_defaults(func=cmd_construct)
 
@@ -387,7 +390,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("code")
     sp.add_argument("--mode", choices=("classical", "quantum"), default="classical")
     sp.add_argument("--form", choices=("symplectic", "hermitian", "euclidean", "css"),
-                    default=None)
+                    default=None, help="inner-product form for --mode quantum")
     sp.add_argument("-r", type=int, required=True)
     sp.add_argument("-d", "--delta", type=int, required=True, dest="delta")
     sp.add_argument("--certificate", default=None,

@@ -36,7 +36,7 @@ from .errors import (
 from .code import DEFAULT_BUDGET, LinearCode, dual_euclidean, dual_hermitian, min_distance
 from .gf import Field
 from .matrix import Matrix
-from .qlocality import QuantumCodeParams, css_distance
+from .qlocality import QuantumCodeParams, css_distance, stabilizer_distance_symplectic
 from .symp import SymplecticCode, css_product, is_self_orthogonal
 
 INFINITY = "inf"   # evaluation-point sentinel for extended GRS columns
@@ -128,9 +128,6 @@ class DeltaSet:
         return all((a2, b2) in inside
                    for a, b in self.pairs
                    for a2 in range(a + 1) for b2 in range(b + 1))
-
-    def claim(self, key: str) -> Optional[int]:
-        return dict(self.claims).get(key)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -353,8 +350,6 @@ def symplectic_quantum_params(C: SymplecticCode,
                               budget: int = DEFAULT_BUDGET) -> QuantumCodeParams:
     """[[n, n - dim C, d]] for a symplectic self-orthogonal carrier, with d
     computed exactly when the subset scan fits the budget."""
-    from .qlocality import stabilizer_distance_symplectic
-
     k = C.n - C.dim
     try:
         d = stabilizer_distance_symplectic(C, budget)

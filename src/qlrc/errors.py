@@ -27,14 +27,6 @@ class DivisionByZero(QlrcError):
     """Division by the zero element."""
 
 
-class FieldMismatch(QlrcError):
-    """Operands belong to different fields."""
-
-
-class NotAnExtension(QlrcError):
-    """Target field is not an extension of the expected shape."""
-
-
 class NotAQuadraticExtension(QlrcError):
     """Hermitian machinery needs a field of even extension degree."""
 

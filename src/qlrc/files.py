@@ -4,7 +4,7 @@ Code files are UTF-8 with ``#`` comments::
 
     q=4 p=2 m=2 poly=7
     n=7 k=4
-    <k rows of n space-separated integer-encoded field elements>
+    <k independent rows of n space-separated integer-encoded field elements>
 
 ``poly`` is the integer encoding of the field modulus (base-p digits,
 including the leading 1).  Symplectic code files carry one extra header
@@ -127,10 +127,14 @@ def loads_code(text: str) -> AnyCode:
     if layout == "symplectic":
         if n != 2 * positions:
             raise ParseError("symplectic file must have 2n columns")
-        return SymplecticCode.from_rows(field, rows, n=positions)
-    if layout is not None:
+        code = SymplecticCode.from_rows(field, rows, n=positions)
+    elif layout is not None:
         raise ParseError(f"unknown layout {layout!r}")
-    return LinearCode.from_rows(field, rows, n=n)
+    else:
+        code = LinearCode.from_rows(field, rows, n=n)
+    if code.gen.rows != k:      # the canonical generator has one row per unit of rank
+        raise ParseError(f"generator rows have rank {code.gen.rows}, not k={k}")
+    return code
 
 
 def save_code(code: AnyCode, path: Union[str, Path]) -> None:

@@ -6,15 +6,14 @@ The all-zero vector encodes 0 and (1,0,...,0) encodes 1, so the additive
 and multiplicative identities are the integers 0 and 1.  All exhaustive
 loops over a field enumerate elements in ascending integer encoding.
 
-A :class:`Field` does arithmetic directly on the integer encodings (that is
-what the matrix and code layers use); :class:`FieldElement` is a thin typed
-wrapper with operator overloading for callers who prefer values that know
-their field.  This is the only module that tabulates field arithmetic:
-extension fields up to q = 2^12 keep log/exp tables, and fields with
-q <= 2^8 also expose add/mul/neg/inv lookup tables indexed by encoding
-(:meth:`Field.tables`), built on first use, for the row operations of the
-matrix layer.  Numpy arrays of encodings are summed without a table
-(:meth:`Field.add_arrays`): xor for p = 2, base-p digits otherwise.
+A :class:`Field` does arithmetic directly on the integer encodings, which
+is what every other layer uses.  This is the only module that tabulates
+field arithmetic: extension fields up to q = 2^12 keep log/exp tables,
+and fields with q <= 2^8 also expose add/mul/neg/inv lookup tables indexed
+by encoding (:meth:`Field.tables`), built on first use, for the row
+operations of the matrix layer.  Numpy arrays of encodings are summed
+without a table (:meth:`Field.add_arrays`): xor for p = 2, base-p digits
+otherwise.
 
 The modulus used for GF(p^m) is the lexicographically smallest monic
 irreducible polynomial of degree m over GF(p) (smallest integer encoding),
@@ -24,15 +23,12 @@ encodings are stable across runs and file formats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DivisionByZero,
-    FieldMismatch,
     NonPrimeP,
-    NotAnExtension,
     NotAQuadraticExtension,
     ReduciblePolynomial,
     UnsupportedSize,
@@ -371,21 +367,7 @@ class Field:
             unit *= p
         return s
 
-    # -- element-wrapper interface --
-
-    def __call__(self, value: int) -> "FieldElement":
-        v = int(value)
-        if self.m == 1:
-            v %= self.p
-        elif not 0 <= v < self.q:
-            raise ValueError(f"encoding {value} out of range for {self!r}")
-        return FieldElement(self, v)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
+    # -- lookup tables --
 
     def tables(self) -> Optional[FieldTables]:
         """The lookup tables of this field, built on first use; None when
@@ -457,102 +439,3 @@ def GF(p: int, m: int = 1, irreducible: Optional[Sequence[int]] = None) -> Field
     """
     key = tuple(irreducible) if irreducible is not None else None
     return _field_cache(p, m, key)
-
-
-# ---------------------------------------------------------------------------
-# FieldElement wrapper
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a :class:`Field`, stored as its integer encoding."""
-
-    field: Field
-    val: int
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise FieldMismatch(f"operands from different fields: {self} vs {other}")
-
-    @property
-    def coeffs(self) -> Tuple[int, ...]:
-        return self.field.coeffs(self.val)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.val, other.val))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.val, other.val))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.val, other.val))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.div(self.val, other.val))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.val, e))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.val))
-
-    def frobenius(self, t: int = 1) -> "FieldElement":
-        return FieldElement(self.field, self.field.frobenius(self.val, t))
-
-    def __bool__(self) -> bool:
-        return self.val != 0
-
-    def __repr__(self) -> str:
-        return f"{self.field!r}:{self.val}"
-
-
-# ---------------------------------------------------------------------------
-# subfield embedding
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def embedding_table(source: Field, target: Field) -> Tuple[int, ...]:
-    """Image of every source element under the canonical embedding.
-
-    ``target`` must be the degree-2 extension over the same prime as
-    ``source`` (m_target = 2 * m_source).  The embedding sends the source
-    generator to the root of the source modulus in the target with the
-    smallest integer encoding, which makes it a deterministic ring
-    homomorphism.
-    """
-    if target.p != source.p or target.m != 2 * source.m:
-        raise NotAnExtension(
-            f"{target!r} is not a quadratic extension shape over {source!r}")
-    if source.m == 1:
-        return tuple(range(source.p))
-    root = None
-    for cand in range(target.q):
-        acc = 0
-        power = 1
-        for c in source.irreducible:
-            acc = target.add(acc, target.mul(c % target.p, power))
-            power = target.mul(power, cand)
-        if acc == 0:
-            root = cand
-            break
-    if root is None:  # pragma: no cover - a root always exists in GF(q^2)
-        raise NotAnExtension("source modulus has no root in target")
-    images = []
-    for a in range(source.q):
-        acc = 0
-        power = 1
-        for c in source.coeffs(a):
-            acc = target.add(acc, target.mul(c, power))
-            power = target.mul(power, root)
-        images.append(acc)
-    return tuple(images)
-
-
-def subfield_embed(a: FieldElement, target: Field) -> FieldElement:
-    """Embed an element of GF(q) into GF(q^2)."""
-    table = embedding_table(a.field, target)
-    return FieldElement(target, table[a.val])

@@ -70,9 +70,6 @@ class LocalityCertificate:
                 raise BadParameters(f"|J_{i}| = {len(J)} exceeds r+delta-1 = {r + delta - 1}")
         return LocalityCertificate(n, r, delta, tuple(sorted(sets.items())))
 
-    def set_for(self, i: int) -> IndexSet:
-        return dict(self.sets)[i]
-
     def mismatch(self, n: int, r: int, delta: int) -> Optional[str]:
         """Why this certificate cannot certify a length-n code as an
         (r, delta)-LRC without checking its sets, or None."""

@@ -279,10 +279,6 @@ class SolveResult:
     particular: Optional[Row] = None
     kernel_basis: Optional[Matrix] = None
 
-    @property
-    def is_unique(self) -> bool:
-        return self.status == "unique"
-
 
 def solve(M: Matrix, s: Sequence[int]) -> SolveResult:
     """Exact solution classification of the linear system M x^T = s^T."""

@@ -99,7 +99,6 @@ class QuantumCodeParams:
     k: int
     d_lower: int
     source: str               # symplectic | hermitian | euclidean | css
-    pure: Optional[bool] = None
     d_is_exact: bool = False
 
     def label(self) -> str:

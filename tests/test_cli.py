@@ -71,6 +71,13 @@ def test_loads_rejects_malformed():
         loads_code("q=4 p=2 m=2 poly=-9\nn=2 k=1\n1 1\n")
     with pytest.raises(ParseError, match="expected 1 generator rows, found 2"):
         loads_code("q=2 p=2 m=1 poly=2\nn=3 k=1\n1 1 1\n1 0 1\n")
+    # generator rows of rank below k would load a smaller code
+    with pytest.raises(ParseError, match="rank 1, not k=2"):
+        loads_code("q=2 p=2 m=1 poly=2\nn=3 k=2\n1 1 0\n1 1 0\n")
+    with pytest.raises(ParseError, match="rank 0, not k=1"):
+        loads_code("q=2 p=2 m=1 poly=2\nn=3 k=1\n0 0 0\n")
+    with pytest.raises(ParseError, match="rank 1, not k=2"):
+        loads_code("q=2 p=2 m=1 poly=2\nlayout=symplectic n=2\nn=4 k=2\n1 0 1 0\n1 0 1 0\n")
 
 
 def test_construct_verify_round_trip(tmp_path, capsys):
@@ -427,3 +434,46 @@ def test_css_verify_output_is_pinned(tmp_path, capsys, r, rc, out, tail):
     assert capsys.readouterr() == (out, "")
     expected = {"schema": 1, "mode": "quantum", "form": "css", "r": r, "delta": 2, "seed": 0}
     assert report.read_text() == json.dumps({**expected, **tail}, indent=2) + "\n"
+
+
+def test_symplectic_distance_skip_output_is_pinned(tmp_path, capsys):
+    """No benchmark op runs the stabilizer distance out of budget, so the
+    construct and verify lines it prints are pinned here."""
+    steane = tmp_path / "steane.code"
+    assert run("construct", "steane", "-o", str(steane), "--budget", "5") == 0
+    assert capsys.readouterr() == (
+        f"wrote symplectic code: n=7 dim=6 -> {steane}\n"
+        "stabilizer distance skipped (budget)\n"
+        "claimed quantum: [[7,1,3]]_2\n", "")
+    report = tmp_path / "report.json"
+    assert run("verify", str(steane), "--mode", "quantum", "-r", "6", "-d", "2",
+               "--budget", "7", "--json", str(report)) == 2
+    assert capsys.readouterr() == (
+        "stabilizer code [[7,1,?]]_2 (distance skipped: budget)\n"
+        "verdict: inconclusive (budget 7 exhausted during set search)\n", "")
+    assert json.loads(report.read_text()) == {
+        "schema": 1, "mode": "quantum", "form": "symplectic", "r": 6, "delta": 2, "seed": 0,
+        "bounds": [], "verdict": "inconclusive",
+        "reason": "budget 7 exhausted during set search"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "c.code", "--mode", "classical", "--form", "symplectic", "-r", "1", "-d", "2"],
+     "--form applies to --mode quantum"),
+    (["verify", "c.code", "-r", "1", "-d", "2", "--pair", "does-not-exist.code"],
+     "--pair applies to --form css"),
+    (["verify", "c.code", "--mode", "quantum", "--form", "euclidean", "-r", "1", "-d", "2",
+      "--pair", "c.code"], "--pair applies to --form css"),
+    (["construct", "steane", "--hermitian-dc", "-o", "out.code"],
+     "--hermitian-dc applies to grs: descriptors"),
+    (["construct", "hamming:m=3,q=2", "--hermitian-dc", "-o", "out.code"],
+     "--hermitian-dc applies to grs: descriptors"),
+], ids=["form-in-classical-mode", "pair-in-classical-mode", "pair-without-css",
+        "hermitian-dc-steane", "hermitian-dc-hamming"])
+def test_option_outside_its_scope_exits_3(tmp_path, capsys, monkeypatch, argv, message):
+    """An option that the requested path would never read is refused, not ignored."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.code").write_text(HAM_FILE)
+    assert run(*argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out.code").exists()

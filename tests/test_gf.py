@@ -1,4 +1,4 @@
-"""Field construction, arithmetic, Frobenius, and subfield embeddings."""
+"""Field construction, arithmetic and Frobenius."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from qlrc.errors import (
     DivisionByZero,
-    FieldMismatch,
     NonPrimeP,
-    NotAnExtension,
     ReduciblePolynomial,
     UnsupportedSize,
 )
-from qlrc.gf import GF, embedding_table, is_irreducible, smallest_irreducible, subfield_embed
+from qlrc.gf import GF, is_irreducible, smallest_irreducible
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2),
                 (2, 4), (5, 2), (2, 5), (3, 3), (7, 2), (2, 6)]
@@ -124,47 +122,6 @@ def test_add_arrays_matches_scalar_add(pm, data):
     s = F.add_arrays(np.array(a, F.array_dtype())[:, None], np.array(b, F.array_dtype())[None, :])
     assert s.dtype == F.array_dtype()
     assert s.tolist() == [[F.add(x, y) for y in b] for x in a]
-
-
-def test_element_wrapper_operations():
-    F4 = GF(2, 2)
-    w = F4(2)
-    assert (w * w).val == 3
-    assert (w + w).val == 0
-    assert (w / w).val == 1
-    assert (w ** 3).val == 1
-    assert w.frobenius().val == 3
-    assert w.coeffs == (0, 1)
-    with pytest.raises(FieldMismatch):
-        _ = w + GF(3)(1)
-
-
-def test_subfield_embedding_gf2_to_gf4():
-    F2, F4 = GF(2), GF(2, 2)
-    assert subfield_embed(F2(0), F4).val == 0
-    assert subfield_embed(F2(1), F4).val == 1
-    # additivity on all four pairs over GF(2)
-    for a in range(2):
-        for b in range(2):
-            lhs = subfield_embed(F2(F2.add(a, b)), F4)
-            rhs = subfield_embed(F2(a), F4) + subfield_embed(F2(b), F4)
-            assert lhs == rhs
-
-
-def test_subfield_embedding_is_ring_hom_gf4_to_gf16():
-    F4, F16 = GF(2, 2), GF(2, 4)
-    tab = embedding_table(F4, F16)
-    for a in range(4):
-        for b in range(4):
-            assert tab[F4.mul(a, b)] == F16.mul(tab[a], tab[b])
-            assert tab[F4.add(a, b)] == F16.add(tab[a], tab[b])
-
-
-def test_embedding_rejects_non_extension():
-    with pytest.raises(NotAnExtension):
-        embedding_table(GF(2), GF(3, 2))
-    with pytest.raises(NotAnExtension):
-        embedding_table(GF(2, 2), GF(2, 3))
 
 
 def test_enumeration_order_is_ascending_encoding():

@@ -23,3 +23,14 @@ def test_tracer_names_exist_in_qlrc():
         module = importlib.import_module(f"qlrc.{layer}")
         assert [n for n in names if not hasattr(getattr(module, n, None), "cache_info")] == [], \
             layer
+
+
+def test_tracer_hooks_exist_in_qlrc():
+    """``SpanTracer.install`` also wraps the codeword generators, and
+    ``GfCounter`` replaces the ``Field`` arithmetic methods."""
+    tracer = _tracer_namespace()
+    code = importlib.import_module("qlrc.code")
+    assert callable(getattr(code, "iter_codeword_blocks", None))
+    assert callable(getattr(getattr(code, "LinearCode", None), "codewords", None))
+    field = importlib.import_module("qlrc.gf").Field
+    assert [m for m in tracer["GF_METHODS"] if not callable(getattr(field, m, None))] == []
