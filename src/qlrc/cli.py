@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Tuple
 
 from . import files
-from .errors import BudgetExceeded, ParseError, QlrcError
+from .errors import BudgetExceeded, ParseError, QlrcError, ZeroCode
 from .code import (
     DEFAULT_BUDGET,
     LinearCode,
@@ -59,13 +59,14 @@ from .gf import GF, MAX_FIELD_SIZE, _prime_factors
 from .locality import classical_singleton, verify_rdelta_lrc
 from .qlocality import (
     _is_dual_containing,
+    _self_orthogonal,
     bridge_classical_quantum,
     purity_check,
     quantum_r_lrc_bound,
     quantum_singleton,
     verify_quantum_rdelta_lrc,
 )
-from .symp import SymplecticCode, dual_symplectic, gsw_hierarchy, is_self_orthogonal
+from .symp import SymplecticCode, dual_symplectic, gsw_hierarchy
 
 SCHEMA_VERSION = 1
 
@@ -260,7 +261,7 @@ def _verify_linear(C, form, args, cert):
     if not isinstance(C, LinearCode):
         raise ParseError(f"{form} form needs a classical code file")
     if not _is_dual_containing(C, form):
-        if not is_self_orthogonal(C, form):
+        if not _self_orthogonal(C, form):
             raise QlrcError(f"code is neither {form} dual-containing nor self-orthogonal")
         verdict = verify_quantum_rdelta_lrc(C, form, args.r, args.delta, cert, args.budget)
         k_q = C.n - 2 * C.k
@@ -331,14 +332,15 @@ def cmd_weights(args: argparse.Namespace) -> int:
         if not isinstance(code, SymplecticCode):
             raise ParseError("gsw needs a symplectic code file")
         C = dual_symplectic(code) if args.dual else code
-        t_max = C.dim if args.t_max is None else args.t_max
-        hier = gsw_hierarchy(C, t_max, args.budget)
+        dim, hierarchy = C.dim, gsw_hierarchy
     else:
         if not isinstance(code, LinearCode):
             raise ParseError("ghw needs a classical code file")
         C = dual_euclidean(code) if args.dual else code
-        t_max = C.k if args.t_max is None else args.t_max
-        hier = generalized_hamming_weights(C, t_max, args.budget)
+        dim, hierarchy = C.k, generalized_hamming_weights
+    if dim == 0:
+        raise ZeroCode("the zero code has no weight hierarchy")
+    hier = hierarchy(C, dim if args.t_max is None else args.t_max, args.budget)
     label = f"{args.kind}{'(dual)' if args.dual else ''}"
     print(f"{label} hierarchy: {hier}")
     _emit(args, {"kind": args.kind, "dual": args.dual, "hierarchy": list(hier)})

@@ -47,7 +47,7 @@ from .errors import (
     ZeroCode,
 )
 from .gf import Field
-from .matrix import Matrix, kernel, rank_of_columns, row_ops, row_space_canonical, rref
+from .matrix import Matrix, kernel, rank, rank_of_columns, row_ops, row_space_canonical, rref
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -138,14 +138,12 @@ class LinearCode:
         return LinearCode.from_matrix(Matrix.identity(field, n))
 
     def contains_word(self, v: Sequence[int]) -> bool:
-        from .matrix import in_row_space
-        return in_row_space(self.gen, v)
+        return rank(self.gen.vstack(Matrix(self.field, (v,)))) == self.k
 
     def contains_code(self, other: "LinearCode") -> bool:
-        return all(self.contains_word(r) for r in other.gen.data)
-
-    def __le__(self, other: "LinearCode") -> bool:
-        return other.contains_code(self)
+        """C contains D iff stacking D's generator under C's keeps rank k;
+        a different field or length raises DimensionMismatch."""
+        return rank(self.gen.vstack(other.gen)) == self.k
 
     def codewords(self) -> Iterator[Tuple[int, ...]]:
         """All q^k codewords in ascending message order (message digits are

@@ -29,14 +29,18 @@ from .errors import (
     ConstraintViolated,
     DependentMonomialsWarning,
     EmptyDelta,
-    NotNested,
     RepeatedPoints,
     ZeroMultiplier,
 )
-from .code import DEFAULT_BUDGET, LinearCode, dual_euclidean, dual_hermitian, min_distance
+from .code import DEFAULT_BUDGET, LinearCode, dual_euclidean, form_kernel, min_distance
 from .gf import Field
 from .matrix import Matrix
-from .qlocality import QuantumCodeParams, css_distance, stabilizer_distance_symplectic
+from .qlocality import (
+    QuantumCodeParams,
+    _require_css_pair,
+    css_distance,
+    stabilizer_distance_symplectic,
+)
 from .symp import SymplecticCode, css_product, is_self_orthogonal
 
 INFINITY = "inf"   # evaluation-point sentinel for extended GRS columns
@@ -86,42 +90,32 @@ class DeltaSet:
     n1: int
     n2: int
     pairs: Tuple[Tuple[int, int], ...]
-    shape: str = "custom"                      # rect | step2 | step2s | custom
-    params: Tuple[int, ...] = ()
     claims: Tuple[Tuple[str, int], ...] = ()
 
     @staticmethod
-    def _checked(n1: int, n2: int, pairs: Iterable[Tuple[int, int]],
-                 shape: str, params: Tuple[int, ...],
-                 claims: Tuple[Tuple[str, int], ...] = ()) -> "DeltaSet":
+    def custom(n1: int, n2: int, pairs: Iterable[Tuple[int, int]]) -> "DeltaSet":
         ps = tuple(sorted(set((int(a), int(b)) for a, b in pairs)))
         if not ps:
             raise EmptyDelta("exponent set is empty")
         if any(not (0 <= a < n1 and 0 <= b < n2) for a, b in ps):
             raise BadParameters("exponents outside the grid box")
-        return DeltaSet(n1, n2, ps, shape, params, claims)
+        return DeltaSet(n1, n2, ps)
 
     @staticmethod
     def rect(n1: int, n2: int, i: int, j: int) -> "DeltaSet":
-        return DeltaSet._checked(
-            n1, n2, ((a, b) for a in range(i + 1) for b in range(j + 1)),
-            "rect", (i, j))
+        return DeltaSet.custom(n1, n2, ((a, b) for a in range(i + 1) for b in range(j + 1)))
 
     @staticmethod
     def step2(n1: int, n2: int, i: int, s: int) -> "DeltaSet":
         pairs = [(a, b) for a in range(i + 1) for b in range(n2 - 1)]
         pairs += [(a, n2 - 1) for a in range(s + 1)]
-        return DeltaSet._checked(n1, n2, pairs, "step2", (i, s))
+        return DeltaSet.custom(n1, n2, pairs)
 
     @staticmethod
     def step2_sigma(n1: int, n2: int, j: int, s: int) -> "DeltaSet":
         pairs = [(a, b) for a in range(n1 - 1) for b in range(j + 1)]
         pairs += [(n1 - 1, b) for b in range(s + 1)]
-        return DeltaSet._checked(n1, n2, pairs, "step2s", (j, s))
-
-    @staticmethod
-    def custom(n1: int, n2: int, pairs: Iterable[Tuple[int, int]]) -> "DeltaSet":
-        return DeltaSet._checked(n1, n2, pairs, "custom", ())
+        return DeltaSet.custom(n1, n2, pairs)
 
     def is_decreasing(self) -> bool:
         inside = set(self.pairs)
@@ -178,7 +172,7 @@ def delta_family(kind: str, n1: int, n2: int, p: int, **params: int) -> DeltaSet
         base = DeltaSet.step2_sigma(n1, n2, j, s)
     else:
         raise BadParameters(f"unknown family {kind!r}")
-    return DeltaSet(base.n1, base.n2, base.pairs, base.shape, base.params, claims)
+    return DeltaSet(base.n1, base.n2, base.pairs, claims)
 
 
 def affine_variety_code(grid: GridSpec, delta: DeltaSet) -> LinearCode:
@@ -255,10 +249,10 @@ def grs_code(field: Field, n: int, k: int,
 def hermitian_dc_grs_search(field: Field, n: int, k: int, budget: int = DEFAULT_BUDGET
                             ) -> Tuple[LinearCode, Tuple[int, ...]]:
     """First (lexicographic in the multiplier tuple) GRS code over GF(q^2)
-    whose Hermitian dual is self-orthogonal, i.e. which is Hermitian
-    dual-containing.  Exhaustive over nonzero multipliers with early exit,
-    one budget unit per tuple tried.  2k < n is refused up front: a code
-    containing its Hermitian dual has n - k <= k.
+    that contains its Hermitian dual.  Exhaustive over nonzero multipliers
+    with early exit, one budget unit per tuple tried; each tried dual is
+    built outside the ``dual_hermitian`` cache.  2k < n is refused up
+    front: a code containing its Hermitian dual has n - k <= k.
     """
     if 2 * k < n:
         raise BadParameters(
@@ -270,7 +264,7 @@ def hermitian_dc_grs_search(field: Field, n: int, k: int, budget: int = DEFAULT_
             raise BudgetExceeded(
                 f"trying {tried} multiplier tuples exceeds budget {budget}")
         C = grs_code(field, n, k, points, mult)
-        if is_self_orthogonal(dual_hermitian(C), "hermitian"):
+        if C.contains_code(LinearCode.from_matrix(form_kernel(C.gen, "hermitian"))):
             return C, mult
     raise BadParameters(
         f"no Hermitian dual-containing [{n},{k}] GRS code over {field!r} "
@@ -324,17 +318,16 @@ def steane_symplectic() -> SymplecticCode:
 
 def css_pair(C1: LinearCode, C2: LinearCode,
              budget: int = DEFAULT_BUDGET) -> Tuple[SymplecticCode, QuantumCodeParams]:
-    """Stabilizer code of the CSS construction for C2^perp_e inside C1.
+    """Stabilizer code of the CSS construction for C2^perp_e inside C1; a
+    pair over different fields or lengths, or not nested, raises NotNested.
 
     Returns the symplectic self-orthogonal code (a-block C2^perp_e, b-block
     C1^perp_e) together with [[n, k1 + k2 - n, d]] parameters; d is the
     exact minimum weight over the two difference sets when the scan fits
     the budget, else the lower bound min(d(C1), d(C2)) flagged as inexact.
     """
-    d2 = dual_euclidean(C2)
-    if not C1.contains_code(d2):
-        raise NotNested("need C2^perp_e inside C1")
-    S = css_product(d2, dual_euclidean(C1))
+    _require_css_pair(C1, C2)
+    S = css_product(dual_euclidean(C2), dual_euclidean(C1))
     n = C1.n
     k = C1.k + C2.k - n
     try:
@@ -343,7 +336,7 @@ def css_pair(C1: LinearCode, C2: LinearCode,
     except BudgetExceeded:
         d = min(min_distance(C1, "auto", budget), min_distance(C2, "auto", budget))
         exact = False
-    return S, QuantumCodeParams(n, k, d, "css", d_is_exact=exact)
+    return S, QuantumCodeParams(n, k, d, d_is_exact=exact)
 
 
 def symplectic_quantum_params(C: SymplecticCode,
@@ -356,4 +349,4 @@ def symplectic_quantum_params(C: SymplecticCode,
         exact = True
     except BudgetExceeded:
         d, exact = 1, False
-    return QuantumCodeParams(C.n, k, d, "symplectic", d_is_exact=exact)
+    return QuantumCodeParams(C.n, k, d, d_is_exact=exact)

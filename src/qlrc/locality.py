@@ -235,9 +235,9 @@ def verify_rdelta_lrc(C: LinearCode, r: int, delta: int,
                                reason=f"certified set for coordinate {i} fails the distance check")
         return Verdict("certified", certificate)
 
+    if C.n < delta:
+        return Verdict("refuted", reason=f"n={C.n} below the minimum set size delta={delta}")
     max_size = min(r + delta - 1, C.n)
-    if max_size < delta:
-        return Verdict("refuted", reason="r+delta-1 below the minimum set size delta")
 
     if delta == 2 and not _has_zero_column(C):
         table = _dual_support_table(C, max_size, budget)

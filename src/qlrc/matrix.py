@@ -112,7 +112,7 @@ class Matrix:
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if other.cols != self.cols or other.field != self.field:
-            raise DimensionMismatch("vstack shape mismatch")
+            raise DimensionMismatch("vstack needs one field and one column count")
         return Matrix._of(self.field, self.data + other.data, self.cols)
 
     def submatrix_cols(self, cols: Sequence[int]) -> "Matrix":
@@ -308,12 +308,10 @@ def subspace_equal(A: Matrix, B: Matrix) -> bool:
 
 
 def in_row_space(M: Matrix, v: Sequence[int]) -> bool:
-    """True iff v lies in the row space of M."""
+    """True iff v lies in the row space of M: appending v keeps the rank."""
     if len(v) != M.cols:
         raise DimensionMismatch("vector length mismatch")
-    if M.rows == 0:
-        return not any(v)
-    return solve(M.transpose(), v).status != "none"
+    return rank(M.vstack(Matrix(M.field, (v,)))) == rank(M)
 
 
 def intersect_row_spaces(A: Matrix, B: Matrix) -> Matrix:

@@ -98,7 +98,6 @@ class QuantumCodeParams:
     n: int
     k: int
     d_lower: int
-    source: str               # symplectic | hermitian | euclidean | css
     d_is_exact: bool = False
 
     def label(self) -> str:
@@ -273,9 +272,9 @@ def verify_quantum_rdelta_lrc(carrier: Union[SymplecticCode, LinearCode, CssPair
     else:
         raise BadParameters(f"unknown form {form!r}")
 
+    if n < delta:
+        return Verdict("refuted", reason=f"n={n} below the minimum set size delta={delta}")
     max_size = min(r + delta - 1, n)
-    if max_size < delta:
-        return Verdict("refuted", reason="r+delta-1 below the minimum set size delta")
 
     if certificate is not None:
         reason = certificate.mismatch(n, r, delta)
@@ -385,7 +384,6 @@ class BridgeResult:
     d_dual: int
     via: str                    # "bridge" | "direct"
     verdict: Verdict
-    classical: Optional[Verdict] = None
 
 
 def bridge_classical_quantum(C: LinearCode, form: str, r: int, delta: int,
@@ -400,9 +398,9 @@ def bridge_classical_quantum(C: LinearCode, form: str, r: int, delta: int,
     d_dual = min_distance(dual, "auto", budget)
     if delta <= d_dual:
         classical = verify_rdelta_lrc(C, r, delta, certificate, budget)
-        return BridgeResult(True, d_dual, "bridge", classical, classical)
+        return BridgeResult(True, d_dual, "bridge", classical)
     direct = verify_quantum_rdelta_lrc(dual, form, r, delta, certificate, budget)
-    return BridgeResult(False, d_dual, "direct", direct, None)
+    return BridgeResult(False, d_dual, "direct", direct)
 
 
 def ij_recoverable_via_bridge(C: LinearCode, form: str, I: IndexSet, J: IndexSet) -> bool:

@@ -477,3 +477,77 @@ def test_option_outside_its_scope_exits_3(tmp_path, capsys, monkeypatch, argv, m
     assert run(*argv) == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "out.code").exists()
+
+
+TERNARY_7_4_FILE = ("q=3 p=3 m=1 poly=3\nn=7 k=4\n1 0 0 0 1 1 2\n0 1 0 0 2 2 0\n"
+                    "0 0 1 0 1 2 1\n0 0 0 1 2 0 1\n")
+
+
+@pytest.mark.parametrize("pair", [("h2", "g3"), ("g3", "h2"), ("h2", "h15")],
+                         ids=["gf2-gf3", "gf3-gf2", "length-7-15"])
+def test_css_construct_across_fields_or_lengths_exits_3(tmp_path, capsys, monkeypatch, pair):
+    """The pair is checked for one field and one length before any nesting
+    test, which over the wrong field crashed or answered wrongly."""
+    monkeypatch.chdir(tmp_path)
+    assert run("construct", "hamming:m=3,q=2", "-o", "h2.code") == 0
+    assert run("construct", "hamming:m=4,q=2", "-o", "h15.code") == 0
+    (tmp_path / "g3.code").write_text(TERNARY_7_4_FILE)
+    capsys.readouterr()
+    assert run("construct", "css:@{}.code,@{}.code".format(*pair), "-o", "out.code") == 3
+    assert capsys.readouterr() == ("", "error: pair must share field and length\n")
+    assert not (tmp_path / "out.code").exists()
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("q=2 p=2 m=1 poly=2\nn=2 k=1\n1 1\n", []),
+    ("q=2 p=2 m=1 poly=2\nlayout=symplectic n=2\nn=4 k=1\n1 0 0 0\n", ["--mode", "quantum"]),
+], ids=["classical", "symplectic"])
+def test_code_shorter_than_delta_is_refuted_for_its_length(tmp_path, capsys, text, argv):
+    """No set of delta coordinates exists when n < delta, whatever r is."""
+    (tmp_path / "c.code").write_text(text)
+    assert run("verify", str(tmp_path / "c.code"), *argv, "-r", "1", "-d", "3") == 1
+    out, err = capsys.readouterr()
+    assert out.endswith("verdict: refuted (n=2 below the minimum set size delta=3)\n")
+    assert err == ""
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("q=2 p=2 m=1 poly=2\nn=3 k=0\n", ["--kind", "ghw"]),
+    ("q=2 p=2 m=1 poly=2\nlayout=symplectic n=3\nn=6 k=0\n", ["--kind", "gsw"]),
+    ("q=2 p=2 m=1 poly=2\nn=2 k=2\n1 0\n0 1\n", ["--kind", "ghw", "--dual"]),
+    ("q=2 p=2 m=1 poly=2\nlayout=symplectic n=1\nn=2 k=2\n1 0\n0 1\n", ["--kind", "gsw", "--dual"]),
+    ("q=2 p=2 m=1 poly=2\nn=3 k=0\n", ["--kind", "ghw", "--t-max", "1"]),
+], ids=["ghw", "gsw", "ghw-dual-of-full", "gsw-dual-of-full", "ghw-with-t-max"])
+def test_weights_of_a_zero_code_exit_3(tmp_path, capsys, text, argv):
+    (tmp_path / "c.code").write_text(text)
+    assert run("weights", str(tmp_path / "c.code"), *argv) == 3
+    assert capsys.readouterr() == ("", "error: the zero code has no weight hierarchy\n")
+
+
+@pytest.mark.parametrize("delta, k", [("rect:4,3", 15), ("step2:3,1", 11), ("step2s:3,1", 11)])
+def test_gf5_families_certify_their_claimed_locality(tmp_path, capsys, delta, k):
+    """The 5 x 5 grid codes of the rectangle along the second axis and of
+    both stepped sets: the claimed (4, 2) is certified through the bridge,
+    and both quantum bounds are attained."""
+    path = str(tmp_path / "f.code")
+    assert run("construct", f"affine:q=5,n1=5,n2=5,delta={delta}", "-o", path) == 0
+    assert "claimed locality: (4,2)\n" in capsys.readouterr().out
+    assert run("verify", path, "--mode", "quantum", "--form", "euclidean",
+               "-r", "4", "-d", "2") == 0
+    out = capsys.readouterr().out
+    assert "verified via: bridge" in out
+    assert "bound quantum-singleton: lhs=27 rhs=27 (attained)" in out
+    assert f"bound quantum-r-lrc: lhs={k} rhs={k} (attained)" in out
+    assert out.endswith("verdict: certified\n")
+
+
+def test_custom_delta_file_builds_the_bare_set(tmp_path, capsys):
+    """A custom exponent file gives the code of those monomials and no claims."""
+    pairs = tmp_path / "delta.txt"
+    pairs.write_text("# the 4 x 5 rectangle\n" + "".join(
+        f"{a} {b}\n" for a in range(4) for b in range(5)))
+    custom, rect = str(tmp_path / "custom.code"), str(tmp_path / "rect.code")
+    assert run("construct", f"affine:q=5,n1=5,n2=5,delta=custom:@{pairs}", "-o", custom) == 0
+    assert "claimed" not in capsys.readouterr().out
+    assert run("construct", "affine:q=5,n1=5,n2=5,delta=rect:3,4", "-o", rect) == 0
+    assert load_code(custom) == load_code(rect)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qlrc.errors import BudgetExceeded, EmptyIndexSet, NotAQuadraticExtension, ZeroCode
+from qlrc.errors import BudgetExceeded, EmptyIndexSet, NotAQuadraticExtension, QlrcError, ZeroCode
 from qlrc.gf import GF
 from qlrc.code import (
     DEFAULT_BUDGET,
@@ -51,6 +51,39 @@ def test_hamming_and_its_dual(hamming74, simplex73):
     assert min_distance(simplex73) == 4
     # dual-containing orientation: the dual sits inside the Hamming code
     assert hamming74.contains_code(simplex73)
+
+
+def test_inclusion_is_one_elimination(hamming74, simplex73, monkeypatch):
+    """C contains D iff D's generator stacked under C's keeps rank k: one
+    elimination of k + dim D rows, however many rows D has."""
+    from qlrc import matrix
+
+    rows = []
+    rref = matrix.rref
+    monkeypatch.setattr(matrix, "rref", lambda M: rows.append(M.rows) or rref(M))
+    assert hamming74.contains_code(simplex73)
+    assert rows == [7]
+    assert not simplex73.contains_code(hamming74)
+    assert simplex73.contains_word(simplex73.gen.data[0])
+    assert not simplex73.contains_word((1, 0, 0, 0, 0, 0, 0))
+    assert rows == [7, 7, 4, 4]
+
+
+# a ternary [7,4] code: over GF(2) tables its entries 2 index out of range
+TERNARY_7_4 = ((1, 0, 0, 0, 1, 1, 2), (0, 1, 0, 0, 2, 2, 0), (0, 0, 1, 0, 1, 2, 1),
+               (0, 0, 0, 1, 2, 0, 1))
+
+
+def test_inclusion_across_fields_or_lengths_raises(hamming74):
+    from qlrc.constructions import hamming_code
+
+    for other in (LinearCode.from_rows(GF(3), TERNARY_7_4), hamming_code(4, GF(2))):
+        with pytest.raises(QlrcError, match="one field and one column count"):
+            hamming74.contains_code(other)
+        with pytest.raises(QlrcError, match="one field and one column count"):
+            other.contains_code(hamming74)
+    with pytest.raises(QlrcError, match="one field and one column count"):
+        hamming74.contains_word((1, 1, 1))
 
 
 def test_dual_hermitian_involution_and_self_orthogonal_example():

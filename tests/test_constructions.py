@@ -87,6 +87,8 @@ def test_dimension_equals_delta_size_for_decreasing_sets(grid5):
 def test_delta_family_claims_and_guards():
     d = delta_family("rect", 7, 7, 7, i=5, j=6)
     assert dict(d.claims) == {"r": 6, "delta": 2, "qn": 49, "qk": 35, "qd": 2}
+    d = delta_family("rect", 10, 10, 5, i=9, j=6)      # i = n1-1, j > n2/2: the second axis
+    assert dict(d.claims) == {"r": 7, "delta": 4, "qn": 100, "qk": 40, "qd": 4}
     d = delta_family("step2", 5, 5, 5, i=3, s=1)
     assert dict(d.claims) == {"r": 4, "delta": 2, "qn": 25, "qk": 11, "qd": 4}
     with pytest.raises(ConstraintViolated):
@@ -97,6 +99,16 @@ def test_delta_family_claims_and_guards():
         delta_family("step2", 5, 5, 5, i=3, s=0)      # s below the floor
     with pytest.raises(ConstraintViolated):
         delta_family("step2s", 5, 5, 5, j=4, s=1)     # j > n2-2
+
+
+@pytest.mark.parametrize("n1, n2, p, j, s", [(5, 5, 5, 3, 1), (4, 6, 2, 4, 2)])
+def test_step2s_is_the_transposed_step2(n1, n2, p, j, s):
+    """step2s on the n1 x n2 box is step2 on the n2 x n1 box with the two
+    exponents swapped, claims included."""
+    sigma = delta_family("step2s", n1, n2, p, j=j, s=s)
+    step2 = delta_family("step2", n2, n1, p, i=j, s=s)
+    assert sigma.pairs == tuple(sorted((b, a) for a, b in step2.pairs))
+    assert sigma.claims == step2.claims
 
 
 def test_step2_code_and_sigma_variant(grid5):
@@ -180,6 +192,16 @@ def test_hermitian_dc_search_yields_5_3_3(simplex73):
     assert C.contains_code(dual)                      # Hermitian dual-containing
     assert is_self_orthogonal(dual, "hermitian")
     assert min_distance(dual) == 4                    # MDS dual: k + 1
+
+
+def test_multiplier_search_caches_no_dual():
+    """Each tried tuple's Hermitian dual is built outside the dual_hermitian
+    cache: a found code and an exhaustive refusal leave it as it was."""
+    before = dual_hermitian.cache_info().currsize
+    assert hermitian_dc_grs_search(GF(2, 2), 5, 3)[1] == (1, 1, 1, 1, 1)
+    with pytest.raises(BadParameters, match="no Hermitian dual-containing"):
+        hermitian_dc_grs_search(GF(2, 2), 5, 4)       # all 3^5 tuples tried
+    assert dual_hermitian.cache_info().currsize == before
 
 
 def test_hamming_parameters():

@@ -138,6 +138,10 @@ def test_row_space_membership_and_intersection():
     B = Matrix(F2, [[0, 1, 0], [0, 0, 1]])
     assert in_row_space(A, (1, 1, 0))
     assert not in_row_space(A, (0, 0, 1))
+    assert in_row_space(Matrix.empty(F2, 3), (0, 0, 0))
+    assert not in_row_space(Matrix.empty(F2, 3), (0, 1, 0))
+    with pytest.raises(DimensionMismatch):
+        in_row_space(A, (1, 1))
     assert intersect_row_spaces(A, B).data == ((0, 1, 0),)
 
 
