@@ -165,7 +165,7 @@ def build_from_descriptor(desc: str, hermitian_dc: bool = False,
     if name == "hamming":
         kv = _split_fields(body)
         m, q = (files.int_field(kv, key, where) for key in ("m", "q"))
-        code = hamming_code(m, GF(*_prime_power(q)))
+        code = hamming_code(m, GF(*_prime_power(q)), budget)
         return code, {"classical": f"[{code.n},{code.k},3]_{q}"}
     if name == "css":
         if not body.startswith("@") or body.count(",") != 1:
@@ -273,7 +273,7 @@ def _verify_linear(C, form, args, cert):
     pur = purity_check(C, form, args.budget)
     bounds = [quantum_singleton((C.n, k_q, pur.d_code), args.r, args.delta),
               # an (r, delta) code repairs one erasure from r + delta - 2 symbols
-              quantum_r_lrc_bound((C.n, k_q, pur.d_code), args.r + args.delta - 2)]
+              quantum_r_lrc_bound((C.n, k_q, pur.d_quantum), args.r + args.delta - 2)]
     if not pur.pure:
         label = "undefined (non-pure)"
     elif res.verdict.certified and bounds[0].attained:
@@ -281,14 +281,15 @@ def _verify_linear(C, form, args, cert):
     else:
         label = "pure, bound not attained"
     q = C.field.subfield_order if form == "hermitian" else C.field.q
-    header = [f"carrier: {form} dual-containing, quantum "
-              f"[[{C.n},{k_q},{'' if pur.pure else '>='}{pur.d_code}]]_{q}",
-              f"purity: d(C)={pur.d_code} <= d(dual)={pur.d_dual}: {pur.pure}",
+    header = [f"carrier: {form} dual-containing, quantum [[{C.n},{k_q},{pur.d_quantum}]]_{q}",
+              f"purity: d(C)={pur.d_code} <= d(dual)={pur.d_dual}: True" if pur.pure else
+              f"purity: d(C minus dual)={pur.d_quantum} = d(C)={pur.d_code}: False",
               f"verified via: {res.via} (dual distance {res.d_dual})",
               f"optimality: {label}"]
     return res.verdict, bounds, {
         "carrier": "dual-containing", "via": res.via, "quantum_k": k_q,
-        "purity": {"pure": pur.pure, "d_code": pur.d_code, "d_dual": pur.d_dual},
+        "purity": {"pure": pur.pure, "d_code": pur.d_code, "d_dual": pur.d_dual,
+                   **({} if pur.pure else {"d_quantum": pur.d_quantum})},
         "optimality": label}, header
 
 
@@ -364,8 +365,9 @@ def _positive_int(text: str) -> int:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                     help="work-unit cap (at least 1): one unit per codeword or "
-                         "information-set message enumerated, subset scanned, or "
-                         "erasure-pattern check ((I, J) pair) of a set search")
+                         "information-set message enumerated, subset scanned, "
+                         "erasure-pattern check ((I, J) pair) of a set search, or "
+                         "generator entry (k * n) of a Hamming construction")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed echoed into reports (searches are deterministic)")
     sp.add_argument("--json", metavar="PATH", default=None,

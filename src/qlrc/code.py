@@ -211,21 +211,24 @@ def form_rows(F: Field, rows: Sequence[Sequence[int]], form: str) -> Tuple[Tuple
 
 
 def form_kernel(gen: Matrix, form: str) -> Matrix:
-    """{y : <x, y> = 0 for every row x of gen} under ``form``."""
+    """{y : <x, y> = 0 for every row x of gen} under ``form``, as the
+    canonical basis :func:`~qlrc.matrix.kernel` returns."""
     return kernel(Matrix(gen.field, form_rows(gen.field, gen.data, form), cols=gen.cols))
 
 
 @lru_cache(maxsize=1 << 17)
 def dual_euclidean(C: LinearCode) -> LinearCode:
     """Euclidean dual: the kernel of the generator matrix."""
-    return LinearCode.from_matrix(form_kernel(C.gen, "euclidean"))
+    K = form_kernel(C.gen, "euclidean")
+    return LinearCode(C.field, C.n, K.rows, K)
 
 
 @lru_cache(maxsize=1 << 17)
 def dual_hermitian(C: LinearCode) -> LinearCode:
     """Hermitian dual over GF(q^2): Euclidean kernel of the entrywise
     q-th power of the generator."""
-    return LinearCode.from_matrix(form_kernel(C.gen, "hermitian"))
+    K = form_kernel(C.gen, "hermitian")
+    return LinearCode(C.field, C.n, K.rows, K)
 
 
 # ---------------------------------------------------------------------------

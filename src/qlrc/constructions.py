@@ -33,8 +33,8 @@ from .errors import (
     ZeroMultiplier,
 )
 from .code import DEFAULT_BUDGET, LinearCode, dual_euclidean, form_kernel, min_distance
-from .gf import Field
-from .matrix import Matrix
+from .gf import GF, Field
+from .matrix import Matrix, kernel
 from .qlocality import (
     QuantumCodeParams,
     _require_css_pair,
@@ -264,7 +264,8 @@ def hermitian_dc_grs_search(field: Field, n: int, k: int, budget: int = DEFAULT_
             raise BudgetExceeded(
                 f"trying {tried} multiplier tuples exceeds budget {budget}")
         C = grs_code(field, n, k, points, mult)
-        if C.contains_code(LinearCode.from_matrix(form_kernel(C.gen, "hermitian"))):
+        K = form_kernel(C.gen, "hermitian")
+        if C.contains_code(LinearCode(field, n, K.rows, K)):
             return C, mult
     raise BadParameters(
         f"no Hermitian dual-containing [{n},{k}] GRS code over {field!r} "
@@ -275,41 +276,29 @@ def hermitian_dc_grs_search(field: Field, n: int, k: int, budget: int = DEFAULT_
 # Hamming / Steane / CSS
 # ---------------------------------------------------------------------------
 
-def hamming_code(m: int, q_or_field) -> LinearCode:
+def hamming_code(m: int, q_or_field, budget: int = DEFAULT_BUDGET) -> LinearCode:
     """The [(q^m - 1)/(q - 1), n - m, 3] Hamming code over GF(q).
 
     Parity-check columns are the projective representatives (first nonzero
     entry 1), sorted ascending as tuples, so the generator is reproducible.
+    The k * n generator entries are charged to ``budget`` before any work;
+    as n >= 2^(m - 1), an m past the budget's bit length never forms q^m.
     """
-    from .gf import GF
-
     field = q_or_field if isinstance(q_or_field, Field) else GF(q_or_field)
     if m < 2:
         raise BadParameters("need redundancy m >= 2")
     q = field.q
-    cols = []
-    for enc in range(1, q ** m):
-        vec = []
-        v = enc
-        for _ in range(m):
-            vec.append(v % q)
-            v //= q
-        vec.reverse()
-        first = next(x for x in vec if x)
-        if first != 1:
-            continue
-        cols.append(tuple(vec))
-    cols.sort()
-    H = Matrix(field, [[c[row] for c in cols] for row in range(m)], cols=len(cols))
-    from .matrix import kernel
-
-    return LinearCode.from_matrix(kernel(H))
+    n = (q ** m - 1) // (q - 1) if m <= budget.bit_length() else None
+    if n is None or (n - m) * n > budget:
+        raise BudgetExceeded(f"the m={m} Hamming code over GF({q}) has more generator "
+                             f"entries than budget {budget}")
+    cols = [v for v in product(range(q), repeat=m) if next((x for x in v if x), 0) == 1]
+    K = kernel(Matrix(field, [[c[row] for c in cols] for row in range(m)], cols=n))
+    return LinearCode(field, n, K.rows, K)
 
 
 def steane_symplectic() -> SymplecticCode:
     """The product C_H x C_H, C_H the dual of the [7,4,3] Hamming code."""
-    from .gf import GF
-
     ch = dual_euclidean(hamming_code(3, GF(2)))
     C = css_product(ch, ch)
     assert is_self_orthogonal(C, "symplectic")

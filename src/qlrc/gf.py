@@ -216,10 +216,11 @@ class Field:
         self.p = p
         self.m = m
         self.q = q
-        self.irreducible = irreducible
+        # every monic x + c gives GF(p) the same encodings and arithmetic
+        self.irreducible = irreducible if m > 1 else (0, 1)
         self._exp: Optional[list[int]] = None
         self._log: Optional[list[int]] = None
-        self._hash = hash((p, m, irreducible))
+        self._hash = hash((p, m, self.irreducible))
         self._tables: Optional[FieldTables] = None
         if m > 1 and q <= _TABLE_LIMIT:
             self._build_tables()
@@ -435,7 +436,8 @@ def GF(p: int, m: int = 1, irreducible: Optional[Sequence[int]] = None) -> Field
 
     When ``irreducible`` is omitted the lexicographically smallest monic
     irreducible of degree m is used, so repeated calls return the same
-    object and element encodings are reproducible.
+    object and element encodings are reproducible.  Any supplied degree-1
+    modulus is checked and then gives the one GF(p).
     """
-    key = tuple(irreducible) if irreducible is not None else None
-    return _field_cache(p, m, key)
+    field = _field_cache(p, m, tuple(irreducible) if irreducible is not None else None)
+    return _field_cache(p, 1, None) if m == 1 else field

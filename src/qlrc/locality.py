@@ -216,60 +216,61 @@ def _dual_support_table(C: LinearCode, max_weight: int,
 # the verifier
 # ---------------------------------------------------------------------------
 
+def check_rdelta(r: int, delta: int) -> None:
+    """Raise BadParameters unless r >= 1 and delta >= 2."""
+    if r < 1 or delta < 2:
+        raise BadParameters(f"need r >= 1 and delta >= 2, got ({r}, {delta})")
+
+
 def verify_rdelta_lrc(C: LinearCode, r: int, delta: int,
                       certificate: Optional[LocalityCertificate] = None,
                       budget: int = DEFAULT_BUDGET) -> Verdict:
     """Certify, refute, or give up on C being an (r, delta)-LRC."""
-    if r < 1 or delta < 2:
-        raise BadParameters(f"need r >= 1 and delta >= 2, got ({r}, {delta})")
-    if certificate is not None:
-        reason = certificate.mismatch(C.n, r, delta)
-        if reason:
-            return Verdict("refuted", reason=reason)
-        for i, J in certificate.sets:
-            if len(J) > r + delta - 1:
-                return Verdict("refuted",
-                               reason=f"certified set for coordinate {i} exceeds r+delta-1")
-            if not is_rdelta_recovery_set(C, i, J, delta):
-                return Verdict("refuted",
-                               reason=f"certified set for coordinate {i} fails the distance check")
-        return Verdict("certified", certificate)
-
-    if C.n < delta:
-        return Verdict("refuted", reason=f"n={C.n} below the minimum set size delta={delta}")
-    max_size = min(r + delta - 1, C.n)
-
-    if delta == 2 and not _has_zero_column(C):
+    check_rdelta(r, delta)
+    if certificate is None and delta == 2 <= C.n and not _has_zero_column(C):
+        max_size = min(r + 1, C.n)
         table = _dual_support_table(C, max_size, budget)
         if table is not None:
-            sets: Dict[int, IndexSet] = {}
-            for i in range(1, C.n + 1):
-                hit = table.get(i)
-                if hit is None:
-                    return Verdict(
-                        "refuted",
-                        reason=f"no recovery set of size <= {max_size} exists for coordinate {i}")
-                sets[i] = IndexSet.of(C.n, hit[1])
-            cert = LocalityCertificate.of(C.n, r, delta, sets)
-            return Verdict("certified", cert)
+            missing = [i for i in range(1, C.n + 1) if i not in table]
+            if missing:
+                return Verdict("refuted", reason=f"no recovery set of size <= {max_size} "
+                                                 f"exists for coordinate {missing[0]}")
+            return Verdict("certified", LocalityCertificate.of(
+                C.n, r, delta, {i: IndexSet.of(C.n, supp) for i, (_, supp) in table.items()}))
         # too many dual messages; fall through to the subset scan
 
-    return scan_recovery_sets(C.n, r, delta, max_size,
-                              lambda J: punctured_distance_at_least(C, J, delta),
-                              budget, "subset search")
+    return recovery_set_verdict(C.n, r, delta,
+                                lambda J: punctured_distance_at_least(C, J, delta),
+                                certificate, budget, "subset search")
 
 
-def scan_recovery_sets(n: int, r: int, delta: int, max_size: int,
-                       qualifies: Callable[[IndexSet], bool], budget: int, search: str,
-                       skip: Collection[int] = (), note: str = "") -> Verdict:
-    """Per coordinate i, the first J through i that ``qualifies``, scanning
-    sizes delta..max_size (minus ``skip``) and then lexicographically.
+def recovery_set_verdict(n: int, r: int, delta: int, qualifies: Callable[[IndexSet], bool],
+                         certificate: Optional[LocalityCertificate], budget: int, search: str,
+                         skip: Collection[int] = (), note: str = "") -> Verdict:
+    """The (r, delta) verdict for a length-n code whose recovery-set test is
+    ``qualifies``: check ``certificate``, or search when it is None.
 
+    Each certified set must have delta..min(r + delta - 1, n) elements (below
+    delta the test would hold vacuously) and qualify.  The search takes, per
+    coordinate i, the first J through i that qualifies, scanning sizes
+    delta..min(r + delta - 1, n) (minus ``skip``) and then lexicographically.
     A size class is charged before its scan, one unit per erasure pattern:
     C(n-1, size-1) sets through i times C(size, delta-1) patterns each.
     ``search`` names the scan in the inconclusive reason, and ``note`` is
     appended to the refuted one.
     """
+    if n < delta:
+        return Verdict("refuted", reason=f"n={n} below the minimum set size delta={delta}")
+    max_size = min(r + delta - 1, n)
+    if certificate is not None:
+        reason = certificate.mismatch(n, r, delta)
+        if reason:
+            return Verdict("refuted", reason=reason)
+        for i, J in certificate.sets:
+            if not delta <= len(J) <= max_size or not qualifies(J):
+                return Verdict("refuted", reason=f"certified set for coordinate {i} fails")
+        return Verdict("certified", certificate)
+
     work = 0
     sets: Dict[int, IndexSet] = {}
     for i in range(1, n + 1):

@@ -71,7 +71,8 @@ from .locality import (
     BoundReport,
     LocalityCertificate,
     Verdict,
-    scan_recovery_sets,
+    check_rdelta,
+    recovery_set_verdict,
     verify_rdelta_lrc,
 )
 from .matrix import Matrix, rank, rank_of_columns
@@ -254,9 +255,7 @@ def verify_quantum_rdelta_lrc(carrier: Union[SymplecticCode, LinearCode, CssPair
     lexicographically; a set qualifies when the (I, J) criterion holds for
     every I of size delta - 1 inside it.
     """
-    if r < 1 or delta < 2:
-        raise BadParameters(f"need r >= 1 and delta >= 2, got ({r}, {delta})")
-
+    check_rdelta(r, delta)
     if form == "css":
         C1, C2 = carrier
         _require_css_pair(C1, C2)
@@ -272,36 +271,19 @@ def verify_quantum_rdelta_lrc(carrier: Union[SymplecticCode, LinearCode, CssPair
     else:
         raise BadParameters(f"unknown form {form!r}")
 
-    if n < delta:
-        return Verdict("refuted", reason=f"n={n} below the minimum set size delta={delta}")
-    max_size = min(r + delta - 1, n)
-
-    if certificate is not None:
-        reason = certificate.mismatch(n, r, delta)
-        if reason:
-            return Verdict("refuted", reason=reason)
-        for i, J in certificate.sets:
-            # below delta elements the (I, J) condition would hold vacuously
-            if not delta <= len(J) <= max_size or not _ij_all_subsets_ok(check, n, J, delta):
-                return Verdict("refuted",
-                               reason=f"certified set for coordinate {i} fails")
-        return Verdict("certified", certificate)
-
     # impossibility filter can rule out whole size classes (symplectic only)
     blocked_sizes = set()
-    if form == "symplectic":
+    if form == "symplectic" and certificate is None:
         params = (n, n - carrier.dim)
-        for size in range(delta, max_size + 1):
+        for size in range(delta, min(r + delta - 1, n) + 1):
             try:
                 if impossibility_filter(carrier, params, delta - 1, size, budget):
                     blocked_sizes.add(size)
             except (HypothesisNotMet, BudgetExceeded):
                 break
 
-    note = ""
-    if blocked_sizes:
-        note = (f" (sizes {sorted(blocked_sizes)} excluded by the "
-                "generalized-symplectic-weight impossibility filter)")
+    note = (f" (sizes {sorted(blocked_sizes)} excluded by the generalized-symplectic-weight "
+            "impossibility filter)" if blocked_sizes else "")
     seen: Dict[Tuple[int, ...], bool] = {}
 
     def qualifies(J: IndexSet) -> bool:
@@ -311,8 +293,8 @@ def verify_quantum_rdelta_lrc(carrier: Union[SymplecticCode, LinearCode, CssPair
             ok = seen[J.members] = _ij_all_subsets_ok(check, n, J, delta)
         return ok
 
-    return scan_recovery_sets(n, r, delta, max_size, qualifies, budget, "set search",
-                              blocked_sizes, note)
+    return recovery_set_verdict(n, r, delta, qualifies, certificate, budget, "set search",
+                                blocked_sizes, note)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +410,24 @@ class PurityReport:
     pure: bool
     d_code: int
     d_dual: int
+    d_quantum: int          # min wt(C minus C^perp); d_code for a self-dual C
 
 
 def purity_check(C: LinearCode, form: str, budget: int = DEFAULT_BUDGET) -> PurityReport:
-    """Pure iff d(C) <= d(C^perp); both distances are computed exactly."""
+    """Q(C) is pure iff its distance d_Q = min wt(C minus C^perp) equals d(C).
+
+    C^perp <= C gives d(C) <= d(C^perp), and when d(C) < d(C^perp) a lightest
+    word of C lies outside C^perp, so d_Q = d(C).  Otherwise d_Q is the size
+    of the first erasure set S with rank C^perp[:, S] < rank C[:, S]; the
+    Hermitian dual is the q-th power of the Euclidean one, which keeps ranks.
+    """
     dual = _dual_of_dual_containing(C, form)
     d_code = min_distance(C, "auto", budget)
     d_dual = min_distance(dual, "auto", budget)
-    return PurityReport(d_code <= d_dual, d_code, d_dual)
+    d_q = d_code
+    if d_code == d_dual and dual.k < C.k:
+        d_q = _first_uncorrectable_size(C.n, ((C.gen, dual.gen),), False, budget)
+    return PurityReport(d_q == d_code, d_code, d_dual, d_q)
 
 
 def _first_uncorrectable_size(n: int, pairs, paired: bool, budget: int) -> int:

@@ -105,7 +105,7 @@ def symplectic_form(field: Field, x: Sequence[int], y: Sequence[int]) -> int:
 @lru_cache(maxsize=1 << 17)
 def dual_symplectic(C: SymplecticCode) -> SymplecticCode:
     """{y : x *s y = 0 for all x in C}; dim C + dim dual = 2n."""
-    return SymplecticCode.from_matrix(form_kernel(C.gen, "symplectic"))
+    return SymplecticCode(C.field, C.n, form_kernel(C.gen, "symplectic"))
 
 
 def is_self_orthogonal(code, form: str) -> bool:

@@ -7,10 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlrc
 from qlrc.cli import main
-from qlrc.errors import ParseError
+from qlrc.errors import ParseError, QlrcError
 from qlrc.files import dumps_code, load_code, loads_code, save_code
 from qlrc.gf import GF
 from qlrc.code import LinearCode
@@ -551,3 +553,113 @@ def test_custom_delta_file_builds_the_bare_set(tmp_path, capsys):
     assert "claimed" not in capsys.readouterr().out
     assert run("construct", "affine:q=5,n1=5,n2=5,delta=rect:3,4", "-o", rect) == 0
     assert load_code(custom) == load_code(rect)
+
+
+E9_FILE = ("q=2 p=2 m=1 poly=2\nn=9 k=5\n1 0 0 0 0 0 0 0 1\n0 1 0 0 0 1 1 1 0\n"
+           "0 0 1 0 0 1 0 1 0\n0 0 0 1 0 0 1 1 0\n0 0 0 0 1 1 1 0 0\n")
+H7_FILE = "q=4 p=2 m=2 poly=7\nn=7 k=4\n1 0 0 0 0 3 3\n0 1 1 0 0 0 0\n0 0 0 1 0 1 2\n0 0 0 0 1 3 2\n"
+
+
+@pytest.mark.parametrize("text, form, r, head", [
+    (E9_FILE, "euclidean", "8", "carrier: euclidean dual-containing, quantum [[9,1,3]]_2\n"),
+    (H7_FILE, "hermitian", "6", "carrier: hermitian dual-containing, quantum [[7,1,3]]_2\n"),
+], ids=["euclidean-gf2", "hermitian-gf4"])
+def test_impure_carrier_prints_its_distance_and_no_optimality(tmp_path, capsys, text, form, r,
+                                                              head):
+    """d(C) = d(C^perp) = 2, but every weight-2 word of C lies in C^perp, so
+    Q(C) has d = 3 > d(C): impure, and no optimality label applies."""
+    (tmp_path / "c.code").write_text(text)
+    rep = tmp_path / "rep.json"
+    assert run("verify", str(tmp_path / "c.code"), "--mode", "quantum", "--form", form,
+               "-r", r, "-d", "2", "--json", str(rep)) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(head + "purity: d(C minus dual)=3 = d(C)=2: False\n")
+    assert "optimality: undefined (non-pure)\n" in out
+    assert json.loads(rep.read_text())["purity"] == {
+        "pure": False, "d_code": 2, "d_dual": 2, "d_quantum": 3}
+
+
+def test_css_pair_under_another_degree_one_modulus_is_one_field(tmp_path, capsys, monkeypatch):
+    """x + 1 and x are both moduli of GF(3): the files load as one field."""
+    monkeypatch.chdir(tmp_path)
+    assert run("construct", "hamming:m=3,q=3", "-o", "h.code") == 0
+    text = (tmp_path / "h.code").read_text()
+    (tmp_path / "hb.code").write_text(text.replace("poly=3", "poly=4", 1))
+    assert load_code("hb.code") == load_code("h.code")
+    assert dumps_code(load_code("hb.code")) == text
+    capsys.readouterr()
+    assert run("construct", "css:@h.code,@hb.code", "-o", "css.code") == 0
+    assert "claimed quantum: [[13,7,3]]_3\n" in capsys.readouterr().out
+
+
+def test_hamming_size_is_charged_to_the_budget_before_any_loop(tmp_path):
+    """The 2^100 - 1 columns of m = 100 once exhausted memory; the k * n
+    generator entries are charged first, so it exits 2 at once."""
+    proc = run_subprocess(tmp_path, ["construct", "hamming:m=100,q=2", "-o", "h.code"], 30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("inconclusive: the m=100 Hamming code over GF(2) has more generator "
+                           "entries than budget 67108864\n")
+    assert run("construct", "hamming:m=3,q=2", "-o", str(tmp_path / "h.code"),
+               "--budget", "27") == 2          # [7,4]: 28 entries
+    assert run("construct", "hamming:m=3,q=2", "-o", str(tmp_path / "h.code"),
+               "--budget", "28") == 0
+
+
+@pytest.mark.parametrize("argv, lines", [
+    # C(9,3) erasure sets exceed the budget; d(C) = 2 needs only C(9,2)
+    (["construct", "css:@e9.code,@e9.code", "--budget", "50"],
+     ["stabilizer distance skipped (budget)", "claimed quantum: [[9,1,>=2]]_2"]),
+    (["construct", "affine:q=5,n1=5,n2=5,delta=rect:3,4", "--budget", "3"],
+     ["wrote classical code: [25,20,?]_5 -> out.code", "claimed locality: (4,2)",
+      "claimed quantum: [[25,15,2]]_5"]),
+    # no family claims a rectangle of exponent 0: the bare set, no claims
+    (["construct", "affine:q=5,n1=5,n2=5,delta=rect:0,0"],
+     ["wrote classical code: [25,1,25]_5 -> out.code"]),
+], ids=["css-distance-over-budget", "distance-over-budget", "unclaimed-rectangle"])
+def test_construct_reports_what_it_could_not_measure(tmp_path, capsys, monkeypatch, argv, lines):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e9.code").write_text(E9_FILE)
+    assert run(*argv, "-o", "out.code") == 0
+    assert capsys.readouterr().out.splitlines()[-len(lines):] == lines
+
+
+def test_verify_of_a_code_neither_dual_containing_nor_self_orthogonal_exits_3(tmp_path, capsys):
+    (tmp_path / "c.code").write_text("q=2 p=2 m=1 poly=2\nn=3 k=1\n1 0 0\n")
+    assert run("verify", str(tmp_path / "c.code"), "--mode", "quantum", "-r", "1", "-d", "2") == 3
+    assert capsys.readouterr() == (
+        "", "error: code is neither euclidean dual-containing nor self-orthogonal\n")
+
+
+_VALUE = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(
+    ["", "x", "1.5", "0x3", "symplectic", "=", "4096", "1048577", "9" * 5000]))
+_TOKEN = st.one_of(_VALUE, st.tuples(st.sampled_from(["q", "p", "m", "poly", "n", "k", "layout"]),
+                                     _VALUE).map("=".join))
+_VALID_FILES = [dumps_code(c) for c in (
+    LinearCode.from_rows(GF(2), [[1, 0, 0, 1, 1], [0, 1, 0, 1, 0]]),
+    LinearCode.from_rows(GF(2, 2), [[1, 2, 3]]), LinearCode.from_rows(GF(3, 2), [[1, 5, 8, 0]]),
+    LinearCode.zero(GF(5), 3), SymplecticCode.from_rows(GF(3), [[1, 0, 2, 1]]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_loads_code_raises_only_qlrc_errors(data):
+    """A valid code file after up to four random edits (a token replaced, a
+    line dropped, repeated or inserted) loads, or raises a QlrcError (exit 3
+    on the CLI), never another exception."""
+    lines = data.draw(st.sampled_from(_VALID_FILES)).splitlines()
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(0, len(lines)))
+        edit = data.draw(st.sampled_from(["token", "drop", "repeat", "insert"]))
+        if edit == "insert" or i == len(lines):
+            lines.insert(i, " ".join(data.draw(st.lists(_TOKEN, max_size=4))))
+        elif edit == "token":
+            tokens = lines[i].split() or [""]
+            tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(_TOKEN)
+            lines[i] = " ".join(tokens)
+        else:
+            lines[i:i + 1] = [lines[i]] * (2 if edit == "repeat" else 0)
+    try:
+        code = loads_code("\n".join(lines))
+    except QlrcError:
+        return
+    assert isinstance(code, (LinearCode, SymplecticCode))

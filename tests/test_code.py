@@ -69,6 +69,25 @@ def test_inclusion_is_one_elimination(hamming74, simplex73, monkeypatch):
     assert rows == [7, 7, 4, 4]
 
 
+def test_duals_take_the_kernel_basis_as_it_comes(hamming74, steane, monkeypatch):
+    """kernel returns a canonical basis, so a dual costs its two eliminations
+    (the form rows, then the kernel basis) and no third one."""
+    from qlrc import matrix
+    from qlrc.code import dual_hermitian
+    from qlrc.symp import dual_symplectic
+
+    F4 = GF(2, 2)
+    calls = []
+    rref = matrix.rref
+    monkeypatch.setattr(matrix, "rref", lambda M: calls.append(1) or rref(M))
+    for dual, C in ((dual_euclidean, hamming74), (dual_symplectic, steane),
+                    (dual_hermitian, LinearCode.from_rows(F4, [[1, 1, 0], [0, 2, 1]]))):
+        calls.clear()
+        D = dual.__wrapped__(C)            # past the memo
+        assert len(calls) == 2, dual.__name__
+        assert D.gen == matrix.row_space_canonical(D.gen)
+
+
 # a ternary [7,4] code: over GF(2) tables its entries 2 index out of range
 TERNARY_7_4 = ((1, 0, 0, 0, 1, 1, 2), (0, 1, 0, 0, 2, 2, 0), (0, 0, 1, 0, 1, 2, 1),
                (0, 0, 0, 1, 2, 0, 1))

@@ -48,6 +48,17 @@ def test_field_errors():
         GF(5).inv(0)
 
 
+def test_every_degree_one_modulus_gives_the_one_gf_p():
+    """x + c for any c reduces nothing: one GF(p), written back as poly=p."""
+    for p in (2, 3, 7):
+        for c in range(p):
+            F = GF(p, 1, [c, 1])
+            assert F == GF(p) and F is GF(p) and hash(F) == hash(GF(p))
+            assert F.poly_encoding == p
+    with pytest.raises(ReduciblePolynomial):
+        GF(3, 1, [1, 2])                # not monic
+
+
 def test_smallest_irreducible_table_values():
     # classic smallest-encoding moduli
     assert smallest_irreducible(2, 2) == (1, 1, 1)       # 7

@@ -25,7 +25,7 @@ from qlrc.locality import (
     is_rdelta_recovery_set,
     is_recovery_set,
     punctured_distance_at_least,
-    scan_recovery_sets,
+    recovery_set_verdict,
     verify_rdelta_lrc,
 )
 from qlrc.oracle import erasure_decode
@@ -217,13 +217,25 @@ def test_delta2_certificates_equal_the_plain_scan():
             continue
         r = rng.randrange(1, n)
         fast = verify_rdelta_lrc(C, r, 2)
-        plain = scan_recovery_sets(n, r, 2, min(r + 1, n),
-                                   lambda J: punctured_distance_at_least(C, J, 2),
-                                   1 << 26, "subset search")
+        plain = recovery_set_verdict(n, r, 2, lambda J: punctured_distance_at_least(C, J, 2),
+                                     None, 1 << 26, "subset search")
         assert (fast.status, fast.certificate) == (plain.status, plain.certificate), \
             (F, C.gen.data, r)
         table_runs += all(any(C.gen.column(j)) for j in range(n))
     assert table_runs >= 30
+
+
+def test_delta2_table_over_budget_falls_back_to_the_scan():
+    """The ternary [7,1] repetition code at r = 2: listing its dual's light
+    words takes 116 messages, the subset scan 84 patterns, so a budget of
+    100 certifies through the scan, with the table's certificate."""
+    C = LinearCode.from_rows(GF(3), [[1] * 7])
+    assert _dual_support_table(C, 3, 100) is None
+    assert _dual_support_table(C, 3, 116) is not None
+    scanned = verify_rdelta_lrc(C, 2, 2, budget=100)
+    assert scanned.certified
+    assert scanned.certificate == verify_rdelta_lrc(C, 2, 2).certificate
+    assert verify_rdelta_lrc(C, 2, 2, budget=83).status == "inconclusive"
 
 
 def test_certified_implies_ghw_filter_true():

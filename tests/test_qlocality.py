@@ -24,6 +24,7 @@ from qlrc.code import IndexSet, LinearCode, dual_euclidean, dual_hermitian, min_
 from qlrc.constructions import hermitian_dc_grs_search
 from qlrc.locality import LocalityCertificate, verify_rdelta_lrc
 from qlrc.qlocality import (
+    PurityReport,
     bridge_classical_quantum,
     classical_erasure_criterion,
     corrects_erasures_at,
@@ -49,7 +50,7 @@ from qlrc.symp import (
     max_isotropic_extension,
     symplectic_weight,
 )
-from qlrc.matrix import Matrix
+from qlrc.matrix import Matrix, dot
 from conftest import (
     qudit_columns,
     random_linear_code,
@@ -317,6 +318,30 @@ def test_verify_certificate_checking(steane):
         assert v.status == "refuted"
 
 
+def test_classical_and_quantum_certificate_checks_give_one_reason(hamming74):
+    """Both verifiers run one certificate check: the same bad certificate for
+    the Hamming CSS pair is refuted with the same reason by each."""
+    def cert(r, delta, sets):
+        return LocalityCertificate.of(7, r, delta, {i: IndexSet.of(7, sets(i)) for i in range(1, 8)})
+
+    cases = {
+        # a set below delta: coordinate 1 alone, every other set whole
+        "small": ((6, 2), cert(6, 2, lambda i: [i] if i == 1 else range(1, 8)),
+                  "certified set for coordinate 1 fails"),
+        # no dual word lies on three coordinates: the [7,3,4] simplex code has d = 4
+        "fails": ((2, 2), cert(2, 2, lambda i: sorted({i, i % 7 + 1, (i + 1) % 7 + 1})),
+                  "certified set for coordinate 1 fails"),
+        "other (r, delta)": ((2, 2), cert(3, 2, lambda i: [i]),
+                             "certificate is for (r, delta) = (3, 2), not (2, 2)"),
+        "n < delta": ((1, 8), cert(1, 8, lambda i: [i]), "n=7 below the minimum set size delta=8"),
+    }
+    for name, ((r, delta), c, reason) in cases.items():
+        classical = verify_rdelta_lrc(hamming74, r, delta, certificate=c)
+        quantum = verify_quantum_rdelta_lrc((hamming74, hamming74), "css", r, delta, certificate=c)
+        assert (classical.status, classical.reason) == ("refuted", reason), name
+        assert (quantum.status, quantum.reason) == ("refuted", reason), name
+
+
 def test_verify_quantum_guards(steane, hamming74):
     with pytest.raises(BadParameters):
         verify_quantum_rdelta_lrc(steane, "symplectic", 0, 2)
@@ -496,6 +521,55 @@ def test_purity_examples(hamming74):
     grs, _ = hermitian_dc_grs_search(F4, 5, 3)
     pr = purity_check(grs, "hermitian")
     assert (pr.pure, pr.d_code, pr.d_dual) == (True, 3, 4)
+    # d(C) = d(C^perp) = 2, yet every weight-2 word of C lies in C^perp
+    e9 = LinearCode.from_rows(GF(2), [[1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 1, 1, 1, 0],
+                                      [0, 0, 1, 0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 0, 0, 1, 1, 0],
+                                      [0, 0, 0, 0, 1, 1, 1, 0, 0]])
+    h7 = LinearCode.from_rows(F4, [[1, 0, 0, 0, 0, 3, 3], [0, 1, 1, 0, 0, 0, 0],
+                                   [0, 0, 0, 1, 0, 1, 2], [0, 0, 0, 0, 1, 3, 2]])
+    for C, form in ((e9, "euclidean"), (h7, "hermitian")):
+        assert purity_check(C, form) == PurityReport(False, 2, 2, 3)
+
+
+def _random_hermitian_selforth(rng, F, n, target_dim):
+    D = LinearCode.zero(F, n)
+    for _ in range(200):
+        if D.k >= target_dim:
+            break
+        cand = tuple(rng.randrange(F.q) for _ in range(n))
+        conj = tuple(F.conj(x) for x in cand)
+        if (any(cand) and not dot(F, cand, conj) and not D.contains_word(cand)
+                and not any(dot(F, conj, row) for row in D.gen.data)):
+            D = LinearCode.from_rows(F, D.gen.data + (cand,), n=n)
+    return D
+
+
+def test_purity_matches_enumeration():
+    """d_Q = min wt(C minus C^perp) by enumeration, and pure iff d_Q = d(C),
+    on random Euclidean (GF(2), GF(3)) and Hermitian (GF(4)) dual-containing
+    codes; duals of near-maximal self-orthogonal codes make impure ones common."""
+    from conftest import random_euclidean_selforth
+
+    rng = random.Random(20)
+    checked = impure = 0
+    for _ in range(120):
+        n = rng.randrange(4, 10)
+        target = n // 2 - rng.randrange(2)
+        if rng.random() < 0.5:
+            form, C = "euclidean", dual_euclidean(
+                random_euclidean_selforth(rng, GF(rng.choice([2, 3])), n, target))
+        else:
+            form, C = "hermitian", dual_hermitian(
+                _random_hermitian_selforth(rng, GF(2, 2), n, target))
+        dual = dual_euclidean(C) if form == "euclidean" else dual_hermitian(C)
+        if dual.k in (0, C.k):
+            continue
+        d_q = min(sum(1 for x in w if x) for w in C.codewords() if not dual.contains_word(w))
+        pr = purity_check(C, form)
+        assert (pr.d_quantum, pr.pure) == (d_q, d_q == pr.d_code), (form, C.gen.data)
+        checked += 1
+        impure += not pr.pure
+    assert checked >= 80 and impure >= 3, (checked, impure)
 
 
 def test_dual_containing_check_runs_once_per_code_and_form(monkeypatch):
