@@ -56,7 +56,7 @@ from .constructions import (
     symplectic_quantum_params,
 )
 from .gf import GF, MAX_FIELD_SIZE, _prime_factors
-from .locality import classical_singleton, verify_rdelta_lrc
+from .locality import check_rdelta, classical_singleton, verify_rdelta_lrc
 from .qlocality import (
     _is_dual_containing,
     _self_orthogonal,
@@ -260,6 +260,7 @@ def _verify_linear(C, form, args, cert):
     direct search for a self-orthogonal one."""
     if not isinstance(C, LinearCode):
         raise ParseError(f"{form} form needs a classical code file")
+    check_rdelta(args.r, args.delta)
     if not _is_dual_containing(C, form):
         if not _self_orthogonal(C, form):
             raise QlrcError(f"code is neither {form} dual-containing nor self-orthogonal")
@@ -366,8 +367,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                     help="work-unit cap (at least 1): one unit per codeword or "
                          "information-set message enumerated, subset scanned, "
-                         "erasure-pattern check ((I, J) pair) of a set search, or "
-                         "generator entry (k * n) of a Hamming construction")
+                         "erasure-pattern check ((I, J) pair) of a set search, union "
+                         "of light dual supports formed, or generator entry (k * n) "
+                         "of a Hamming construction")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed echoed into reports (searches are deterministic)")
     sp.add_argument("--json", metavar="PATH", default=None,

@@ -139,13 +139,13 @@ def delta_family(kind: str, n1: int, n2: int, p: int, **params: int) -> DeltaSet
         raise ConstraintViolated(f"p={p} must divide n1={n1} and n2={n2}")
     if kind == "rect":
         i, j = params["i"], params["j"]
-        if 2 * i > n1 and j == n2 - 1:
+        if n1 / 2 < i <= n1 - 2 and j == n2 - 1:
             r, delta = i + 1, n1 - i
-        elif i == n1 - 1 and 2 * j > n2:
+        elif i == n1 - 1 and n2 / 2 < j <= n2 - 2:
             r, delta = j + 1, n2 - j
         else:
             raise ConstraintViolated(
-                "rect needs i > n1/2 with j = n2-1, or i = n1-1 with j > n2/2")
+                "rect needs n1/2 < i <= n1-2 with j = n2-1, or i = n1-1 with n2/2 < j <= n2-2")
         claims = (("r", r), ("delta", delta), ("qn", n),
                   ("qk", 2 * (i + 1) * (j + 1) - n),
                   ("qd", (n1 - i) * (n2 - j)))

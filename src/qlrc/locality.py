@@ -13,13 +13,15 @@ certificate or searches for one, and distinguishes three outcomes:
 * Refuted       - the search space was provably exhausted for some i,
 * Inconclusive  - the work budget ran out before either of the above.
 
-For delta = 2 the search is driven by low-weight dual codewords: a minimal
-recovery set containing i is exactly the support of a minimum-weight dual
-word that is nonzero at i (when the code has no identically-zero column),
-which keeps the certified sets identical to a plain increasing-size
-lexicographic subset scan.  The dual words of weight <= r + 1 are listed by
-information sets (:func:`~qlrc.code.light_word_blocks`), not by enumerating
-all of the dual, so the table costs a few hundred messages at lengths 49 to 81.
+The search tries only unions of light dual supports.  If d(pi_J(C)) >= 2,
+each j in J lies in the support of a word of pi_J(C)^perp = sigma_J(C^perp),
+or else e_j would be a word of pi_J(C).  So a qualifying J is the union of
+the supports of the dual words inside it, each of weight <= |J|.  Those of
+weight <= r + delta - 1 are listed by information sets
+(:func:`~qlrc.code.light_word_blocks`), closed under union up to that size,
+and tried per coordinate in the plain subset scan's order, which keeps the
+scan's certificate and refuted coordinate.  For delta = 2 and no zero
+column every light support qualifies: the first through i is its set.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil, comb
-from typing import Callable, Collection, Dict, Optional, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from .errors import (
     BadParameters,
@@ -182,39 +184,40 @@ def is_rdelta_recovery_set(C: LinearCode, i: int, J: IndexSet, delta: int) -> bo
 
 
 # ---------------------------------------------------------------------------
-# dual-word search (delta = 2)
+# candidate sets: unions of light dual supports
 # ---------------------------------------------------------------------------
 
-def _has_zero_column(C: LinearCode) -> bool:
-    return any(not any(C.gen.column(j)) for j in range(C.n))
+def _light_supports(C: LinearCode, max_weight: int, budget: int) -> Set[FrozenSet[int]]:
+    """The supports (1-based) of the dual words of weight <= max_weight."""
+    supports = set()
+    for light in light_word_blocks(dual_euclidean(C), max_weight, budget):
+        for row in light != 0:
+            supports.add(frozenset((row.nonzero()[0] + 1).tolist()))
+    return supports
 
 
-def _dual_support_table(C: LinearCode, max_weight: int,
-                        budget: int) -> Optional[Dict[int, Tuple[int, Tuple[int, ...]]]]:
-    """For each coordinate i, the (weight, support) of the best dual word
-    through i with weight <= max_weight; None when finding the dual words of
-    weight <= max_weight (:func:`~qlrc.code.light_word_blocks`) is over budget.
-
-    Best = smallest weight, ties broken by lexicographically smallest
-    support, matching an increasing-size lexicographic subset scan.
-    """
-    best: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-    try:
-        for light in light_word_blocks(dual_euclidean(C), max_weight, budget):
-            for row in light != 0:
-                supp = tuple(int(j) + 1 for j in row.nonzero()[0])
-                for i in supp:
-                    cur = best.get(i)
-                    if cur is None or (len(supp), supp) < cur:
-                        best[i] = (len(supp), supp)
-    except BudgetExceeded:
-        return None
-    return best
+def _union_closure(supports: Set[FrozenSet[int]], max_size: int,
+                   budget: int) -> Set[FrozenSet[int]]:
+    """Every union of ``supports`` with at most max_size members.  Only a
+    union below max_size grows further; each round is charged before it
+    runs, one unit per union of a set with a support."""
+    closed, grow, unions = set(supports), [S for S in supports if len(S) < max_size], 0
+    while grow:
+        unions += len(grow) * len(supports)
+        if unions > budget:
+            raise BudgetExceeded(f"{unions} unions of light dual supports exceed budget {budget}")
+        new = {U for A in grow for S in supports if len(U := A | S) <= max_size} - closed
+        closed |= new
+        grow = [A for A in new if len(A) < max_size]
+    return closed
 
 
 # ---------------------------------------------------------------------------
 # the verifier
 # ---------------------------------------------------------------------------
+
+_SCAN_REFUTED = "all sets of size <= {m} through coordinate {i} fail"
+
 
 def check_rdelta(r: int, delta: int) -> None:
     """Raise BadParameters unless r >= 1 and delta >= 2."""
@@ -225,39 +228,47 @@ def check_rdelta(r: int, delta: int) -> None:
 def verify_rdelta_lrc(C: LinearCode, r: int, delta: int,
                       certificate: Optional[LocalityCertificate] = None,
                       budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Certify, refute, or give up on C being an (r, delta)-LRC."""
+    """Certify, refute, or give up on C being an (r, delta)-LRC.  The search
+    tries the unions of light dual supports, or every set when listing or
+    closing them is over budget."""
     check_rdelta(r, delta)
-    if certificate is None and delta == 2 <= C.n and not _has_zero_column(C):
-        max_size = min(r + 1, C.n)
-        table = _dual_support_table(C, max_size, budget)
-        if table is not None:
-            missing = [i for i in range(1, C.n + 1) if i not in table]
-            if missing:
-                return Verdict("refuted", reason=f"no recovery set of size <= {max_size} "
-                                                 f"exists for coordinate {missing[0]}")
-            return Verdict("certified", LocalityCertificate.of(
-                C.n, r, delta, {i: IndexSet.of(C.n, supp) for i, (_, supp) in table.items()}))
-        # too many dual messages; fall through to the subset scan
-
-    return recovery_set_verdict(C.n, r, delta,
-                                lambda J: punctured_distance_at_least(C, J, delta),
-                                certificate, budget, "subset search")
+    n, m = C.n, min(r + delta - 1, C.n)
+    qualifies = lambda J: punctured_distance_at_least(C, J, delta)
+    candidates, refuted = None, _SCAN_REFUTED
+    if certificate is None and n >= delta:
+        try:
+            supports = _light_supports(C, m, budget)
+            if delta == 2 and all(any(C.gen.column(j)) for j in range(n)):
+                qualifies = lambda J: True
+                refuted = "no recovery set of size <= {m} exists for coordinate {i}"
+            else:
+                supports = _union_closure(supports, m, budget)
+            candidates = sorted((tuple(sorted(S)) for S in supports if len(S) >= delta),
+                                key=lambda members: (len(members), members))
+        except BudgetExceeded:
+            pass                                # the scan runs, with the whole budget
+    return recovery_set_verdict(n, r, delta, qualifies, certificate, budget, "subset search",
+                                candidates=candidates, refuted=refuted)
 
 
 def recovery_set_verdict(n: int, r: int, delta: int, qualifies: Callable[[IndexSet], bool],
                          certificate: Optional[LocalityCertificate], budget: int, search: str,
-                         skip: Collection[int] = (), note: str = "") -> Verdict:
+                         skip: Collection[int] = (), note: str = "",
+                         candidates: Optional[Sequence[Tuple[int, ...]]] = None,
+                         refuted: str = _SCAN_REFUTED) -> Verdict:
     """The (r, delta) verdict for a length-n code whose recovery-set test is
     ``qualifies``: check ``certificate``, or search when it is None.
 
     Each certified set must have delta..min(r + delta - 1, n) elements (below
     delta the test would hold vacuously) and qualify.  The search takes, per
-    coordinate i, the first J through i that qualifies, scanning sizes
-    delta..min(r + delta - 1, n) (minus ``skip``) and then lexicographically.
-    A size class is charged before its scan, one unit per erasure pattern:
-    C(n-1, size-1) sets through i times C(size, delta-1) patterns each.
-    ``search`` names the scan in the inconclusive reason, and ``note`` is
-    appended to the refuted one.
+    coordinate i, the first J through i that qualifies: among
+    ``candidates`` (member tuples in scan order, every qualifying set among
+    them) when given, or else scanning sizes delta..min(r + delta - 1, n)
+    (minus ``skip``) and then lexicographically.  A size class is charged
+    before its scan, one unit per erasure pattern: C(n-1, size-1) sets
+    through i times C(size, delta-1) patterns each.  ``search`` names the
+    scan in the inconclusive reason; the refuted one is ``refuted`` (m is
+    the largest size) and ``note``.
     """
     if n < delta:
         return Verdict("refuted", reason=f"n={n} below the minimum set size delta={delta}")
@@ -274,9 +285,10 @@ def recovery_set_verdict(n: int, r: int, delta: int, qualifies: Callable[[IndexS
     work = 0
     sets: Dict[int, IndexSet] = {}
     for i in range(1, n + 1):
+        found = None if candidates is None else next(
+            filter(qualifies, (IndexSet(n, ms) for ms in candidates if i in ms)), None)
         others = [j for j in range(1, n + 1) if j != i]
-        found = None
-        for size in range(delta, max_size + 1):
+        for size in range(delta, max_size + 1) if candidates is None else ():  # no list: scan
             if size in skip:
                 continue
             work += comb(n - 1, size - 1) * comb(size, delta - 1)
@@ -291,8 +303,7 @@ def recovery_set_verdict(n: int, r: int, delta: int, qualifies: Callable[[IndexS
             if found is not None:
                 break
         if found is None:
-            return Verdict("refuted", reason=f"all sets of size <= {max_size} "
-                                             f"through coordinate {i} fail{note}")
+            return Verdict("refuted", reason=refuted.format(m=max_size, i=i) + note)
         sets[i] = found
     return Verdict("certified", LocalityCertificate.of(n, r, delta, sets))
 

@@ -376,6 +376,7 @@ def bridge_classical_quantum(C: LinearCode, form: str, r: int, delta: int,
     quantum side directly on the dual (the stabilizer carrier).  A supplied
     certificate is checked by whichever verifier runs instead of a search.
     """
+    check_rdelta(r, delta)
     dual = _dual_of_dual_containing(C, form)
     d_dual = min_distance(dual, "auto", budget)
     if delta <= d_dual:

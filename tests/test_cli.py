@@ -416,6 +416,37 @@ def test_delta2_frontier_certified_via_the_bridge(tmp_path, capsys, q, rect, r, 
     assert "verdict: certified" in out
 
 
+@pytest.mark.parametrize("q, family, r, k, d",
+                         [(8, "rect:5,7", 6, 32, 3), (7, "step2:4,3", 5, 19, 4)])
+def test_delta3_frontier_certified_via_the_bridge(tmp_path, capsys, q, family, r, k, d):
+    """GF(8) rect:5,7 and GF(7) step2:4,3: the (r, 3) search over unions of
+    the dual words of weight <= r + 2 certifies the claimed locality, and the
+    quantum Singleton-like bound is attained."""
+    path = str(tmp_path / "f.code")
+    assert run("construct", f"affine:q={q},n1={q},n2={q},delta={family}", "-o", path) == 0
+    assert f"claimed locality: ({r},3)\n" in capsys.readouterr().out
+    assert run("verify", path, "--mode", "quantum", "--form", "euclidean",
+               "-r", str(r), "-d", "3") == 0
+    out = capsys.readouterr().out
+    assert f"quantum [[{q * q},{k},{d}]]_{q}" in out
+    assert "verified via: bridge" in out
+    assert "optimality: optimal pure" in out
+    singleton = q * q + 2
+    assert f"bound quantum-singleton: lhs={singleton} rhs={singleton} (attained)" in out
+    assert out.endswith("verdict: certified\n")
+
+
+def test_full_rectangle_claims_nothing_and_verify_checks_r_delta_first(tmp_path, capsys):
+    """The full 5 x 5 box would claim delta = 1: it is built bare, and both
+    verifies refuse (5, 1) before any distance, its dual being the zero code."""
+    path = str(tmp_path / "z.code")
+    assert run("construct", "affine:q=5,n1=5,n2=5,delta=rect:4,4", "-o", path) == 0
+    assert capsys.readouterr().out == f"wrote classical code: [25,25,1]_5 -> {path}\n"
+    for mode in (["--mode", "quantum", "--form", "euclidean"], ["--mode", "classical"]):
+        assert run("verify", path, *mode, "-r", "5", "-d", "1") == 3
+        assert capsys.readouterr() == ("", "error: need r >= 1 and delta >= 2, got (5, 1)\n")
+
+
 @pytest.mark.parametrize("r, rc, out, tail", [
     (6, 0, "verdict: certified\n",
      {"verdict": "certified", "certificate": {"r": 6, "delta": 2, "sets": {

@@ -96,6 +96,8 @@ def test_delta_family_claims_and_guards():
     with pytest.raises(ConstraintViolated):
         delta_family("rect", 6, 6, 5, i=4, j=5)       # p does not divide n1
     with pytest.raises(ConstraintViolated):
+        delta_family("rect", 5, 5, 5, i=4, j=4)       # the full box: delta = 1
+    with pytest.raises(ConstraintViolated):
         delta_family("step2", 5, 5, 5, i=3, s=0)      # s below the floor
     with pytest.raises(ConstraintViolated):
         delta_family("step2s", 5, 5, 5, j=4, s=1)     # j > n2-2

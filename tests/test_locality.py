@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qlrc.errors import BadParameters, IndexInR, IndexNotInJ, ParseError
+from qlrc.errors import BadParameters, BudgetExceeded, IndexInR, IndexNotInJ, ParseError
 from qlrc.gf import GF
 from qlrc.code import (
     IndexSet,
@@ -19,7 +19,8 @@ from qlrc.code import (
 )
 from qlrc.locality import (
     LocalityCertificate,
-    _dual_support_table,
+    _light_supports,
+    _union_closure,
     classical_singleton,
     ghw_locality_filter,
     is_rdelta_recovery_set,
@@ -204,8 +205,8 @@ def test_delta2_agrees_with_recovery_set_definition():
 
 
 def test_delta2_certificates_equal_the_plain_scan():
-    """The dual-support table certifies exactly the sets of the increasing-size
-    lexicographic subset scan, over prime and extension fields."""
+    """The light-support search certifies exactly the sets of the
+    increasing-size lexicographic subset scan, over prime and extension fields."""
     rng = random.Random(12)
     fields = [GF(2), GF(3), GF(5), GF(2, 2), GF(2, 3), GF(3, 2)]
     table_runs = 0
@@ -225,17 +226,95 @@ def test_delta2_certificates_equal_the_plain_scan():
     assert table_runs >= 30
 
 
-def test_delta2_table_over_budget_falls_back_to_the_scan():
-    """The ternary [7,1] repetition code at r = 2: listing its dual's light
-    words takes 116 messages, the subset scan 84 patterns, so a budget of
-    100 certifies through the scan, with the table's certificate."""
+def test_light_search_over_budget_falls_back_to_the_scan():
+    """The ternary [7,1] repetition code.  At (2, 2) listing its dual's light
+    words takes 116 messages and the scan 84 patterns, so a budget of 100
+    certifies through the scan.  At (2, 3) the listing takes 236 messages,
+    closing the 91 supports under union 56 * 91 = 5096 units, and the scan
+    315 patterns: a budget of 5095 certifies through the scan, and 314 runs
+    out in it.  Each fallback certifies the search's sets."""
     C = LinearCode.from_rows(GF(3), [[1] * 7])
-    assert _dual_support_table(C, 3, 100) is None
-    assert _dual_support_table(C, 3, 116) is not None
+    with pytest.raises(BudgetExceeded):
+        _light_supports(C, 3, 100)
+    assert _light_supports(C, 3, 116)
     scanned = verify_rdelta_lrc(C, 2, 2, budget=100)
     assert scanned.certified
     assert scanned.certificate == verify_rdelta_lrc(C, 2, 2).certificate
     assert verify_rdelta_lrc(C, 2, 2, budget=83).status == "inconclusive"
+
+    supports = _light_supports(C, 4, 236)
+    assert len(supports) == 91
+    with pytest.raises(BudgetExceeded):
+        _union_closure(supports, 4, 5095)
+    assert _union_closure(supports, 4, 5096) == supports    # every small set is a support
+    scanned = verify_rdelta_lrc(C, 2, 3, budget=5095)
+    assert scanned.certified
+    assert scanned.certificate == verify_rdelta_lrc(C, 2, 3).certificate
+    verdict = verify_rdelta_lrc(C, 2, 3, budget=314)
+    assert (verdict.status, verdict.reason) == (
+        "inconclusive", "budget 314 exhausted during subset search")
+
+
+def _with_zero_columns(F, rows, n, zero):
+    rows = [[0 if j in zero else x for j, x in enumerate(row)] for row in rows]
+    return LinearCode.from_rows(F, rows, n=n)
+
+
+@given(st.sampled_from([GF(2), GF(3), GF(5), GF(2, 2), GF(2, 3), GF(3, 2)]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_light_search_equals_the_plain_scan(F, data):
+    """The search over unions of light dual supports gives the plain
+    subset scan's status, certificate and reason, for delta = 2, 3, 4, with
+    zero columns, k = 1 and k = n - 1.  Only a refuted delta = 2 code
+    without zero columns words its reason differently."""
+    n = data.draw(st.integers(2, 7))
+    k = data.draw(st.sampled_from([1, n - 1, data.draw(st.integers(1, n))]))
+    rows = [[data.draw(st.integers(0, F.q - 1)) for _ in range(n)] for _ in range(k)]
+    C = _with_zero_columns(F, rows, n, data.draw(st.sets(st.integers(0, n - 1), max_size=2)))
+    r, delta = data.draw(st.integers(1, 3)), data.draw(st.sampled_from([2, 3, 4]))
+    fast = verify_rdelta_lrc(C, r, delta)
+    plain = recovery_set_verdict(n, r, delta, lambda J: punctured_distance_at_least(C, J, delta),
+                                 None, 1 << 26, "subset search")
+    reason = plain.reason
+    if delta == 2 and plain.status == "refuted" and all(any(C.gen.column(j)) for j in range(n)):
+        i = plain.reason.split()[-2]
+        reason = f"no recovery set of size <= {min(r + 1, n)} exists for coordinate {i}"
+    assert (fast.status, fast.certificate, fast.reason) == (
+        plain.status, plain.certificate, reason), (C.gen.data, r, delta)
+
+
+def test_light_search_takes_unions_in_the_scan_order(hamming74):
+    """Two cases random codes seldom reach.  In the binary [5,1] code of
+    11101 the first set through coordinate 1 at (3, 3) is {1, 2, 3}, which
+    supports no dual word: it is the union of {1, 2} and {2, 3}.  In the
+    [7,4] Hamming code at (3, 2) each coordinate lies on several weight-4
+    dual supports, and the scan takes the lexicographically first."""
+    C = LinearCode.from_rows(GF(2), [[1, 1, 1, 0, 1]])
+    for code, r, delta in ((C, 3, 3), (hamming74, 3, 2)):
+        plain = recovery_set_verdict(code.n, r, delta,
+                                     lambda J: punctured_distance_at_least(code, J, delta),
+                                     None, 1 << 26, "subset search")
+        assert verify_rdelta_lrc(code, r, delta) == plain
+    assert verify_rdelta_lrc(C, 3, 3).certificate.sets[0] == (1, IndexSet.of(5, [1, 2, 3]))
+    assert frozenset({1, 2, 3}) not in _light_supports(C, 5, 1 << 26)
+
+
+@given(st.sampled_from([GF(2), GF(3), GF(2, 2)]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_recovery_set_is_a_union_of_light_dual_supports(F, data):
+    """Every J with d(pi_J(C)) >= delta >= 2 is the union of the supports of
+    the dual words of weight <= |J| that lie inside it."""
+    n = data.draw(st.integers(2, 6))
+    rows = [[data.draw(st.integers(0, F.q - 1)) for _ in range(n)]
+            for _ in range(data.draw(st.integers(1, n)))]
+    C = _with_zero_columns(F, rows, n, data.draw(st.sets(st.integers(0, n - 1), max_size=1)))
+    supports = _light_supports(C, n, 1 << 26)
+    for size in range(2, n + 1):
+        for members in itertools.combinations(range(1, n + 1), size):
+            J = IndexSet.of(n, members)
+            if punctured_distance_at_least(C, J, 2):
+                inside = [S for S in supports if S <= set(members)]
+                assert set().union(*inside) == set(members), (C.gen.data, members)
 
 
 def test_certified_implies_ghw_filter_true():
@@ -322,9 +401,20 @@ def enumerated_support_table(C, max_weight):
     return best
 
 
+def support_table(supports):
+    """Per coordinate, the smallest (weight, support) among ``supports``."""
+    best = {}
+    for S in supports:
+        supp = tuple(sorted(S))
+        for i in supp:
+            if i not in best or (len(supp), supp) < best[i]:
+                best[i] = (len(supp), supp)
+    return best
+
+
 @given(st.sampled_from([GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3)]), st.data())
 @settings(max_examples=150, deadline=None)
-def test_dual_support_table_matches_the_enumerated_table(F, data):
+def test_light_supports_match_the_enumerated_table(F, data):
     """Low-weight dual words by information sets give the same table as
     enumerating all of the dual, with zero columns, k = 1 and k = n."""
     n = data.draw(st.integers(1, 9))
@@ -337,14 +427,14 @@ def test_dual_support_table_matches_the_enumerated_table(F, data):
     C = LinearCode.from_rows(F, rows, n=n)
     assume(F.q ** (n - C.k) <= 4096)       # the dual is enumerated for reference
     max_weight = data.draw(st.integers(1, n))
-    assert _dual_support_table(C, max_weight, 1 << 26) == enumerated_support_table(
+    assert support_table(_light_supports(C, max_weight, 1 << 26)) == enumerated_support_table(
         C, max_weight), (C.gen.data, max_weight)
 
 
-def test_dual_support_table_enumerates_the_partial_information_sets():
+def test_light_supports_enumerate_the_partial_information_sets():
     """A [8,2]_4 dual with one full information set and three one-column
     partial ones: its weight-2 words are found only on the partial sets."""
     D = LinearCode.from_rows(GF(2, 2), [[1, 0, 0, 0, 1, 3, 1, 0], [0, 0, 1, 0, 3, 2, 3, 0]])
     C = dual_euclidean(D)
     assert dual_euclidean(C) == D
-    assert _dual_support_table(C, 2, 1 << 26) == enumerated_support_table(C, 2)
+    assert support_table(_light_supports(C, 2, 1 << 26)) == enumerated_support_table(C, 2)

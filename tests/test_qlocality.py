@@ -22,7 +22,12 @@ from qlrc.errors import (
 from qlrc.gf import GF
 from qlrc.code import IndexSet, LinearCode, dual_euclidean, dual_hermitian, min_distance
 from qlrc.constructions import hermitian_dc_grs_search
-from qlrc.locality import LocalityCertificate, verify_rdelta_lrc
+from qlrc.locality import (
+    LocalityCertificate,
+    punctured_distance_at_least,
+    recovery_set_verdict,
+    verify_rdelta_lrc,
+)
 from qlrc.qlocality import (
     PurityReport,
     bridge_classical_quantum,
@@ -364,15 +369,18 @@ def test_verify_quantum_inconclusive_on_tiny_budget(steane):
 
 
 def test_set_searches_charge_one_unit_per_erasure_pattern(hamming74):
-    """Both set searches charge C(n-1, s-1) C(s, delta-1) per size class s
-    scanned: a budget of exactly that total certifies, one unit less does not."""
+    """The set scan charges C(n-1, s-1) C(s, delta-1) per size class s
+    scanned, for the quantum test and for the classical one it falls back
+    to: a budget of exactly that total certifies, one unit less does not."""
     def charge(n, delta, verdict):
         return sum(comb(n - 1, s - 1) * comb(s, delta - 1)
                    for _, J in verdict.certificate.sets for s in range(delta, len(J) + 1))
 
     runs = [(lambda budget: verify_quantum_rdelta_lrc((hamming74, hamming74), "css", 6, 2,
                                                       budget=budget), 2),
-            (lambda budget: verify_rdelta_lrc(hamming74, 5, 3, budget=budget), 3)]
+            (lambda budget: recovery_set_verdict(
+                7, 5, 3, lambda J: punctured_distance_at_least(hamming74, J, 3), None, budget,
+                "subset search"), 3)]
     for verify, delta in runs:
         full = charge(7, delta, verify(1 << 26))
         assert verify(full).certified
@@ -479,6 +487,14 @@ def test_bridge_hamming_transfer(hamming74):
 def test_bridge_guard_falls_back_to_direct(hamming74):
     res = bridge_classical_quantum(hamming74, "euclidean", 3, 5)
     assert not res.hypothesis_met and res.via == "direct"
+
+
+def test_bridge_checks_r_delta_before_the_dual_distance():
+    """The full code contains its dual, the zero code, whose distance is
+    undefined: (r, 1) is refused before that distance is asked for."""
+    full = LinearCode.from_rows(GF(5), [[int(i == j) for j in range(4)] for i in range(4)])
+    with pytest.raises(BadParameters, match=r"need r >= 1 and delta >= 2, got \(3, 1\)"):
+        bridge_classical_quantum(full, "euclidean", 3, 1)
 
 
 def test_bridge_agreement_small_corpus(hamming74):
