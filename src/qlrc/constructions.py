@@ -251,19 +251,19 @@ def hermitian_dc_grs_search(field: Field, n: int, k: int, budget: int = DEFAULT_
     """First (lexicographic in the multiplier tuple) GRS code over GF(q^2)
     that contains its Hermitian dual.  Exhaustive over nonzero multipliers
     with early exit, one budget unit per tuple tried; each tried dual is
-    built outside the ``dual_hermitian`` cache.  2k < n is refused up
-    front: a code containing its Hermitian dual has n - k <= k.
+    built outside the ``dual_hermitian`` cache.  Refused up front: any n, k
+    that ``grs_code`` refuses, and 2k < n (a dual-containing code has
+    n - k <= k).
     """
+    grs_code(field, n, k)
     if 2 * k < n:
         raise BadParameters(
             f"no [{n},{k}] code contains its Hermitian dual: that needs 2k >= n")
-    q = field.q
-    points = list(range(min(n, q))) + ([INFINITY] if n == q + 1 else [])
-    for tried, mult in enumerate(product(range(1, q), repeat=n), 1):
+    for tried, mult in enumerate(product(range(1, field.q), repeat=n), 1):
         if tried > budget:
             raise BudgetExceeded(
                 f"trying {tried} multiplier tuples exceeds budget {budget}")
-        C = grs_code(field, n, k, points, mult)
+        C = grs_code(field, n, k, multipliers=mult)
         K = form_kernel(C.gen, "hermitian")
         if C.contains_code(LinearCode(field, n, K.rows, K)):
             return C, mult

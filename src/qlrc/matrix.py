@@ -17,8 +17,9 @@ constructor and computes the hash only when asked.
 
 The canonical representative of a row space is its RREF with zero rows
 dropped, so subspace equality is a plain comparison of canonical forms.
-The empty subspace is the 0 x n matrix, which is a real value distinct
-from "absent".
+A kernel is read off one reduction of M with its columns reversed, and
+comes out canonical with no second elimination (see :func:`kernel`).
+The empty subspace is the 0 x n matrix, a value distinct from "absent".
 """
 
 from __future__ import annotations
@@ -248,27 +249,26 @@ def row_space_canonical(M: Matrix) -> Matrix:
 
 
 def kernel(M: Matrix) -> Matrix:
-    """Basis (as rows) of the right null space {x : M x^T = 0}.
+    """Basis (as rows) of the right null space {x : M x^T = 0}, in canonical
+    form from one reduction R of M with its columns reversed.
 
-    Returns a (cols - rank) x cols matrix in canonical form; the full space
-    comes back as the identity when M has no rows.
+    Reading R in M's column order, the vector e_f - sum_i R[i][f] e_(p_i) of
+    a free column f has R[i][f] != 0 only for pivots p_i after f: it leads
+    at f and is zero at every other free column, so by ascending f the rows
+    are already the kernel's RREF.  With no rows, M's kernel is the identity.
     """
-    R, pivots = rref(M)
-    F = M.field
-    neg = row_ops(F).neg
     n = M.cols
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
+    R, rev_pivots = rref(M.submatrix_cols(range(n - 1, -1, -1)))
+    neg = row_ops(M.field).neg
+    pivots = [n - 1 - c for c in rev_pivots]
     basis = []
-    for f in free:
+    for f in sorted(set(range(n)).difference(pivots)):
         vec = [0] * n
         vec[f] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = neg(R.data[i][f])
+        for row, pc in zip(R.data, pivots):
+            vec[pc] = neg(row[n - 1 - f])
         basis.append(tuple(vec))
-    if not basis:
-        return Matrix.empty(F, n)
-    return row_space_canonical(Matrix._of(F, tuple(basis), n))
+    return Matrix._of(M.field, tuple(basis), n)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .code import (
     weight_hierarchy,
 )
 from .gf import Field
-from .matrix import Matrix, dot, rank_of_columns, row_space_canonical
+from .matrix import Matrix, dot, intersect_row_spaces, rank_of_columns, row_space_canonical
 
 
 @dataclass(frozen=True)
@@ -243,10 +243,8 @@ def max_isotropic_extension(C: SymplecticCode, budget: int = DEFAULT_BUDGET) -> 
     dual_C = dual_symplectic(C)
     while current.dim < C.n:
         cur_dual = dual_symplectic(current)
-        # candidates live in cur_dual intersect C^perp_s
-        from .matrix import intersect_row_spaces
-        cand = SymplecticCode.from_matrix(
-            intersect_row_spaces(cur_dual.gen, dual_C.gen))
+        # candidates live in cur_dual intersect C^perp_s, canonical as built
+        cand = SymplecticCode(C.field, C.n, intersect_row_spaces(cur_dual.gen, dual_C.gen))
         if cand.field.q ** cand.dim > budget:
             raise BudgetExceeded("candidate space too large to enumerate")
         picked = None

@@ -277,14 +277,19 @@ def test_huge_field_size_exits_3_before_any_factoring(tmp_path, argv):
         3, f"error: field size q={HUGE_Q} exceeds the supported limit 1048576\n")
 
 
-@pytest.mark.parametrize("k, budget, rc, err", [
-    (3, "1000", 3, "error: no [12,3] code contains its Hermitian dual: that needs 2k >= n\n"),
-    (6, "100", 2, "inconclusive: trying 101 multiplier tuples exceeds budget 100\n"),
-], ids=["2k-below-n", "over-budget"])
-def test_hermitian_dc_search_ends(tmp_path, k, budget, rc, err):
+@pytest.mark.parametrize("desc, budget, rc, err", [
+    ("grs:q2=16,n=12,k=3", "1000", 3,
+     "error: no [12,3] code contains its Hermitian dual: that needs 2k >= n\n"),
+    ("grs:q2=16,n=12,k=6", "100", 2,
+     "inconclusive: trying 101 multiplier tuples exceeds budget 100\n"),
+    ("grs:q2=11,n=-1,k=8", "1000", 3, "error: need 1 <= k <= n, got k=8, n=-1\n"),
+], ids=["2k-below-n", "over-budget", "negative-n"])
+def test_hermitian_dc_search_ends(tmp_path, desc, budget, rc, err):
     """The multiplier search over 15^12 tuples refuses 2k < n and stops at
-    the budget; a subprocess under a timeout turns a hang into a failure."""
-    proc = run_subprocess(tmp_path, ["construct", f"grs:q2=16,n=12,k={k}", "--hermitian-dc",
+    the budget; a negative n is refused before the loop (product(...,
+    repeat=n) raised ValueError, exit 4 with a traceback).  A subprocess
+    under a timeout turns a hang into a failure."""
+    proc = run_subprocess(tmp_path, ["construct", desc, "--hermitian-dc",
                                      "-o", "h.code", "--budget", budget], 30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (rc, "", err)
     assert not (tmp_path / "h.code").exists()

@@ -70,21 +70,25 @@ def test_inclusion_is_one_elimination(hamming74, simplex73, monkeypatch):
 
 
 def test_duals_take_the_kernel_basis_as_it_comes(hamming74, steane, monkeypatch):
-    """kernel returns a canonical basis, so a dual costs its two eliminations
-    (the form rows, then the kernel basis) and no third one."""
+    """kernel reads a canonical basis off one elimination (the form rows with
+    their columns reversed), so a dual or a Hamming code costs one rref."""
     from qlrc import matrix
     from qlrc.code import dual_hermitian
+    from qlrc.constructions import hamming_code
     from qlrc.symp import dual_symplectic
 
     F4 = GF(2, 2)
     calls = []
     rref = matrix.rref
     monkeypatch.setattr(matrix, "rref", lambda M: calls.append(1) or rref(M))
-    for dual, C in ((dual_euclidean, hamming74), (dual_symplectic, steane),
-                    (dual_hermitian, LinearCode.from_rows(F4, [[1, 1, 0], [0, 2, 1]]))):
+    hermitian_c = LinearCode.from_rows(F4, [[1, 1, 0], [0, 2, 1]])
+    for build, arg in ((dual_euclidean.__wrapped__, hamming74),     # past the memo
+                       (dual_symplectic.__wrapped__, steane),
+                       (dual_hermitian.__wrapped__, hermitian_c),
+                       (lambda q: hamming_code(3, q), GF(3))):
         calls.clear()
-        D = dual.__wrapped__(C)            # past the memo
-        assert len(calls) == 2, dual.__name__
+        D = build(arg)
+        assert len(calls) == 1, build
         assert D.gen == matrix.row_space_canonical(D.gen)
 
 

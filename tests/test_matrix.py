@@ -219,7 +219,8 @@ REFERENCE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 
 def field_matrices(draw):
     F = GF(*draw(st.sampled_from(REFERENCE_FIELDS)))
     rows = draw(st.integers(0, 6))
-    cols = draw(st.integers(0, 8))
+    # many free columns too: kernel's basis rows are then mostly free entries
+    cols = draw(st.integers(0, 8) | st.integers(rows + 6, rows + 12))
     entry = st.one_of(st.just(0), st.just(1), st.integers(0, F.q - 1))
     data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
     return Matrix(F, data, cols=cols)

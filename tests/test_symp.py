@@ -1,6 +1,7 @@
 """Symplectic form, paired puncture/shorten, and symplectic weights."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,22 @@ def test_min_symplectic_weight_scan_matches_enumeration(steane, which):
     enumerated = min_symplectic_weight(C)
     # a budget below q^dim forces the position-set scan
     assert min_symplectic_weight(C, budget=C.field.q ** C.dim - 1) == enumerated
+
+
+def test_min_symplectic_weight_enumerates_a_low_dimension_code():
+    """Keep the enumeration branch: a random binary [[40]] code of dimension
+    4 has 16 words, while its first weight 25 lies C(40, 25) sets deep in
+    the position-set scan (that scan raised at C(40, 8) after 570 s under
+    the default budget)."""
+    rnd = random.Random(1)
+    C = SymplecticCode.from_rows(GF(2), [[rnd.randrange(2) for _ in range(80)] for _ in range(4)])
+    assert C.dim == 4
+    import numpy  # noqa: F401  -- the enumeration's first use imports it; keep that untimed
+    start = time.perf_counter()
+    assert min_symplectic_weight(C, budget=1 << 12) == 25
+    with pytest.raises(BudgetExceeded, match=r"C\(40,3\) subsets exceed budget 4096"):
+        gsw_hierarchy(C, 1, 1 << 12)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_min_symplectic_weight_is_memoised_and_raising_calls_are_not(steane):
